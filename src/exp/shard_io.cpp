@@ -389,52 +389,4 @@ IndexedSpecResult ParseWorkerRow(const std::string& line) {
   return cell;
 }
 
-WorkerRowsRead ReadWorkerRowsTolerant(const std::string& path) {
-  WorkerRowsRead out;
-  std::ifstream probe(path);
-  if (!probe) return out;  // died before opening --out: zero rows
-  probe.close();
-  std::vector<std::string> lines = ReadLines(path);
-  while (!lines.empty()) {  // ignore trailing blank lines
-    std::string& last = lines.back();
-    if (!last.empty() && last.back() == '\r') last.pop_back();
-    if (!last.empty()) break;
-    lines.pop_back();
-  }
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::string line = lines[i];
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    try {
-      out.rows.push_back(ParseWorkerRow(line));
-    } catch (const std::exception& e) {
-      if (i + 1 == lines.size()) {
-        out.torn_final_line = true;
-        out.torn_line = line;
-        break;
-      }
-      throw std::runtime_error(path + " line " + std::to_string(i + 1) + ": " +
-                               e.what());
-    }
-  }
-  return out;
-}
-
-std::vector<IndexedSpecResult> ReadWorkerRows(const std::string& path) {
-  std::vector<IndexedSpecResult> rows;
-  const std::vector<std::string> lines = ReadLines(path);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::string line = lines[i];
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    try {
-      rows.push_back(ParseWorkerRow(line));
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + " line " + std::to_string(i + 1) + ": " +
-                               e.what());
-    }
-  }
-  return rows;
-}
-
 }  // namespace hs

@@ -10,11 +10,13 @@
 //   0	CUP&SPAA/FCFS/W5/seed=800
 //   7	baseline/SJF/W2/weeks=4
 //
-// Worker result stream — what each worker sends back. JSONL, one object
-// per completed cell, streamed (and flushed) as cells finish so a dying
-// worker leaves every completed row behind:
+// Worker result rows — what each worker sends back. One JSON object per
+// completed cell, which hs_worker writes to stdout as a `row` frame of the
+// `# hs-fabric` stream (exp/transport.h), flushed as the cell finishes and
+// followed by a `# hs-progress` heartbeat:
 //
-//   {"index":7,"spec":"...","trace":"...","result":{"avg_turnaround_h":...}}
+//   row {"index":7,"spec":"...","trace":"...","result":{"avg_turnaround_h":...}}
+//   # hs-progress cell=7
 //
 // Doubles are printed with max_digits10 (17 significant digits), which
 // makes text round-trips bit-exact: the orchestrator re-parses rows and
@@ -58,33 +60,11 @@ void WriteShardFileAt(const std::string& path, const std::vector<std::size_t>& i
 std::vector<IndexedSpec> ReadShardFile(std::istream& in);
 std::vector<IndexedSpec> ReadShardFileAt(const std::string& path);
 
-/// Writes one worker result row (newline-terminated JSONL object).
+/// Writes one worker result row (newline-terminated JSON object).
 void WriteWorkerRow(std::ostream& out, std::size_t index, const SpecResult& row);
 
 /// Parses one worker row; throws std::runtime_error on malformed JSON,
 /// unknown/missing result fields, or an invalid spec string.
 IndexedSpecResult ParseWorkerRow(const std::string& line);
-
-/// Reads a whole worker output file (blank lines ignored); throws like
-/// ParseWorkerRow, prefixed with the path and line number.
-std::vector<IndexedSpecResult> ReadWorkerRows(const std::string& path);
-
-/// A tolerant read of a worker output stream whose writer may have been
-/// killed mid-write.
-struct WorkerRowsRead {
-  std::vector<IndexedSpecResult> rows;  // every complete, well-formed row
-  bool torn_final_line = false;         // last line was a truncated row
-  std::string torn_line;                // its raw text (diagnostics)
-};
-
-/// Like ReadWorkerRows, but classifies the two shapes a killed worker
-/// legitimately leaves behind instead of throwing a generic parse error:
-/// a missing file (died before opening --out) reads as zero rows, and a
-/// malformed FINAL line reads as `torn_final_line` — that row simply
-/// never made it, a dropped-row condition the orchestrator can retry. A
-/// malformed line anywhere *else* still throws like ReadWorkerRows:
-/// earlier lines were complete, so that is schema/version skew, not a
-/// crash.
-WorkerRowsRead ReadWorkerRowsTolerant(const std::string& path);
 
 }  // namespace hs

@@ -2,9 +2,10 @@
 // worker processes — with a fault-tolerant fabric underneath.
 //
 // The orchestrator partitions the specs with a deterministic ShardPlan,
-// scatters one shard file per worker (shard_io.h), spawns one hs_worker
-// process per shard, gathers the per-shard JSONL result streams, and
-// merges them back into canonical spec order — so the merged output (CSV
+// scatters one shard file per work unit (shard_io.h), runs one hs_worker
+// per unit through a Transport (transport.h), reads each worker's
+// `# hs-fabric` frame stream of result rows, and merges the rows back
+// into canonical spec order — so the merged output (CSV
 // bytes included) is byte-identical to a single-process ExperimentRunner
 // run on every simulation-content column, regardless of which worker or
 // thread finished first, and regardless of how many workers died, hung,
@@ -17,9 +18,9 @@
 //                  spec-index tagging makes resume exact), after an
 //                  exponential backoff with deterministic seed-derived
 //                  jitter (RetryPolicy).
-//   hang detection hs_worker emits `# hs-progress` heartbeats on stderr;
-//                  the orchestrator watches the redirected stderr/out
-//                  files for growth and SIGKILLs any worker whose output
+//   hang detection hs_worker follows every row with a `# hs-progress`
+//                  heartbeat in the same stream; the orchestrator counts
+//                  stream bytes and SIGKILLs any worker whose stream
 //                  stalls past `shard_timeout_s`, then retries it like
 //                  any other death.
 //   quarantine     a unit that keeps failing is bisected until the
@@ -34,7 +35,7 @@
 // failure turns into a std::runtime_error naming the shard, the observed
 // status/stderr, and the missing spec indices. The scratch directory is
 // kept whenever anything went unhealed (failure or quarantine) so shard
-// files and partial outputs can be inspected.
+// files and worker stderr can be inspected.
 #pragma once
 
 #include <cstddef>
@@ -119,7 +120,7 @@ struct ShardedRunnerOptions {
   /// thread per core — oversubscribes when shards > 1; set explicitly for
   /// benchmarking).
   int worker_threads = 0;
-  /// Scratch directory for shard files and worker output. Empty: a fresh
+  /// Scratch directory for shard files and worker stderr. Empty: a fresh
   /// temp dir, removed after a fully successful merge. A caller-provided
   /// directory is created if needed and always kept.
   std::string work_dir;
@@ -127,7 +128,7 @@ struct ShardedRunnerOptions {
   bool keep_work_dir = false;
   /// Respawn budget and backoff for failed workers.
   RetryPolicy retry;
-  /// Hang detection: SIGKILL a worker whose stderr/out files stop growing
+  /// Hang detection: SIGKILL a worker whose frame stream delivers no byte
   /// for this long, then retry it (0 disables; must exceed the longest
   /// single cell, since heartbeats fire per completed cell).
   double shard_timeout_s = 0.0;

@@ -1,7 +1,7 @@
 #include "exp/transport.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <sys/stat.h>
 #include <utility>
 
 #include "util/file_util.h"
@@ -12,61 +12,42 @@ namespace hs {
 
 namespace {
 
-/// The tail of a worker's stderr capture, for error messages and
-/// quarantine records.
-std::string StderrTailOf(const std::string& text_in, std::size_t max_bytes = 2000) {
-  std::string text = text_in;
+bool StartsWith(const std::string& text, const char* prefix) {
+  return text.rfind(prefix, 0) == 0;
+}
+
+/// The tail of a worker's stderr, for error messages and quarantine
+/// records.
+std::string TailOf(std::string text, std::size_t max_bytes = 2000) {
   while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) text.pop_back();
   if (text.empty()) return "<empty stderr>";
   if (text.size() > max_bytes) text = "..." + text.substr(text.size() - max_bytes);
   return text;
 }
 
-std::string StderrTailOfFile(const std::string& path) {
-  try {
-    return StderrTailOf(ReadTextFile(path));
-  } catch (const std::exception&) {
-    return "<no stderr captured>";
-  }
-}
-
-/// Combined size of a launch's output files — growth means the worker is
-/// alive (rows or heartbeats), stall past the timeout means it is wedged.
-std::uint64_t OutputBytes(const std::string& out_path, const std::string& err_path) {
-  std::uint64_t total = 0;
-  struct stat st;
-  if (::stat(out_path.c_str(), &st) == 0) total += static_cast<std::uint64_t>(st.st_size);
-  if (::stat(err_path.c_str(), &st) == 0) total += static_cast<std::uint64_t>(st.st_size);
-  return total;
-}
-
-bool StartsWith(const std::string& text, const char* prefix) {
-  return text.rfind(prefix, 0) == 0;
-}
-
 // --- local fork/exec ---------------------------------------------------------
 
+/// One hs_worker with its stdout on a pipe; waitpid says when it ended.
 class LocalExecTask final : public TransportTask {
  public:
-  LocalExecTask(Subprocess proc, std::string worker_cmd, std::string out_path,
+  LocalExecTask(Subprocess proc, int stdout_pipe, std::string worker_cmd,
                 std::string err_path)
       : proc_(std::move(proc)),
+        reader_(Socket(stdout_pipe)),
         worker_cmd_(std::move(worker_cmd)),
-        out_path_(std::move(out_path)),
         err_path_(std::move(err_path)) {}
 
-  ~LocalExecTask() override {
-    // Defensive reap: normally Take() (via Wait) or Kill() reaped already;
-    // exception unwinds must not trip the Subprocess zombie assert.
-    if (proc_.running()) {
-      proc_.Kill();
-      proc_.Wait();
-    }
+  // Exception unwinds must not trip the Subprocess zombie assert.
+  ~LocalExecTask() override { Kill(); }
+
+  bool Poll() override {
+    const bool ended = reader_.Drain();
+    if (!proc_.Poll()) return false;
+    if (!ended) reader_.Drain();  // what it wrote just before exiting
+    return true;
   }
 
-  bool Poll() override { return proc_.Poll(); }
-
-  std::uint64_t activity() override { return OutputBytes(out_path_, err_path_); }
+  std::uint64_t activity() override { return reader_.activity(); }
 
   void Kill() override {
     proc_.Kill();  // SIGKILL; Wait() reaps promptly so Poll() turns true
@@ -75,22 +56,25 @@ class LocalExecTask final : public TransportTask {
 
   TransportOutcome Take() override {
     TransportOutcome outcome;
+    const std::string who = "worker ('" + worker_cmd_ + "')";
+    reader_.TakeRows(who, outcome);
     const ProcessStatus status = proc_.Wait();
-    const WorkerRowsRead read = ReadWorkerRowsTolerant(out_path_);
-    outcome.rows = read.rows;
-    outcome.torn_final_line = read.torn_final_line;
     outcome.clean = status.ok();
     if (!outcome.clean) {
-      outcome.status = "worker ('" + worker_cmd_ + "') failed: " +
-                       status.Describe() + "; stderr: " + StderrTailOfFile(err_path_);
+      std::string err;
+      try {
+        err = ReadTextFile(err_path_);
+      } catch (const std::exception&) {
+      }
+      outcome.status = who + " failed: " + status.Describe() + "; stderr: " + TailOf(err);
     }
     return outcome;
   }
 
  private:
   Subprocess proc_;
+  FrameReader reader_;
   std::string worker_cmd_;
-  std::string out_path_;
   std::string err_path_;
 };
 
@@ -112,6 +96,57 @@ class FailedLaunchTask final : public TransportTask {
 };
 
 }  // namespace
+
+// --- FrameReader -------------------------------------------------------------
+
+bool FrameReader::Drain() {
+  while (stream_.valid()) {
+    std::string line;
+    RecvLineStatus status;
+    try {
+      status = stream_.RecvLineWithTimeout(0.0, &line);
+    } catch (const std::exception& e) {
+      read_error_ = e.what();
+      break;
+    }
+    if (status == RecvLineStatus::kTimeout) return false;
+    if (status == RecvLineStatus::kEof) break;
+    activity_ += line.size() + 1;
+    if (StartsWith(line, "row ")) {
+      rows_.push_back(line.substr(4));
+    } else if (StartsWith(line, "log ")) {
+      log_ += line.substr(4) + '\n';
+      constexpr std::size_t kMaxLog = 64 * 1024;
+      if (log_.size() > kMaxLog) log_.erase(0, log_.size() - kMaxLog);
+    } else if (StartsWith(line, "done ") || StartsWith(line, "err ")) {
+      terminal_ = line;
+      break;
+    } else if (!line.empty() && !StartsWith(line, "# hs-progress")) {
+      // Not a known frame: a row cut short before its "row " prefix.
+      // TakeRows applies the torn-vs-skew rule to it like any row.
+      rows_.push_back(line);
+    }
+  }
+  stream_.Close();
+  return true;
+}
+
+std::string FrameReader::LogTail() const { return TailOf(log_); }
+
+void FrameReader::TakeRows(const std::string& source, TransportOutcome& outcome) const {
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    try {
+      outcome.rows.push_back(ParseWorkerRow(rows_[i]));
+    } catch (const std::exception& e) {
+      if (i + 1 == rows_.size()) {
+        outcome.torn_final_line = true;  // the writer died mid-row
+        return;
+      }
+      throw std::runtime_error(source + " sent a malformed result row mid-stream (" +
+                               e.what() + ")");
+    }
+  }
+}
 
 // --- host list ---------------------------------------------------------------
 
@@ -172,145 +207,68 @@ std::unique_ptr<TransportTask> LocalExecTransport::Launch(
                            "_L" + std::to_string(launch_seq_++);
   WriteShardFileAt(stem + ".specs", indices, specs);
   std::vector<std::string> argv = {worker_cmd_, "--shard=" + stem + ".specs",
-                                   "--out=" + stem + ".jsonl",
+                                   "--out=/dev/stdout",
                                    "--attempt=" + std::to_string(attempt)};
   if (worker_threads_ > 0) {
     argv.push_back("--threads=" + std::to_string(worker_threads_));
   }
-  Subprocess proc = Subprocess::Spawn(argv, stem + ".stdout", stem + ".stderr");
-  return std::make_unique<LocalExecTask>(std::move(proc), worker_cmd_,
-                                         stem + ".jsonl", stem + ".stderr");
+  int stdout_pipe = -1;
+  Subprocess proc = Subprocess::SpawnPiped(argv, &stdout_pipe, stem + ".stderr");
+  return std::make_unique<LocalExecTask>(std::move(proc), stdout_pipe, worker_cmd_,
+                                         stem + ".stderr");
 }
 
 // --- TcpTransport ------------------------------------------------------------
 
-/// One unit streaming back from an hs_agent. Single-threaded and
-/// non-blocking: Poll() drains whatever lines have arrived; classification
-/// of the terminal state mirrors the local file gather exactly.
+/// One unit streaming back from an hs_agent; a `done`/`err` frame says
+/// when it ended.
 class TcpTransportTask final : public TransportTask {
  public:
   TcpTransportTask(TcpTransport* transport, std::size_t slot_index, Socket sock)
-      : transport_(transport), slot_index_(slot_index), sock_(std::move(sock)) {}
+      : transport_(transport), slot_index_(slot_index), reader_(std::move(sock)) {}
 
-  ~TcpTransportTask() override {
-    sock_.Close();
-    Release();
-  }
+  ~TcpTransportTask() override { Release(); }
 
   bool Poll() override {
-    if (finished_) return true;
-    for (;;) {
-      std::string line;
-      RecvLineStatus status;
-      try {
-        status = sock_.RecvLineWithTimeout(0.0, &line);
-      } catch (const std::exception& e) {
-        FinishLost(std::string("connection error: ") + e.what());
-        return true;
-      }
-      if (status == RecvLineStatus::kTimeout) return false;
-      if (status == RecvLineStatus::kEof) {
-        FinishLost("connection lost mid-unit (agent died or dropped the link)");
-        return true;
-      }
-      activity_ += line.size() + 1;
-      if (StartsWith(line, "row ")) {
-        raw_rows_.push_back(line.substr(4));
-      } else if (StartsWith(line, "# hs-progress")) {
-        // Heartbeat: the activity bump above is its entire job.
-      } else if (StartsWith(line, "log ")) {
-        stderr_text_ += line.substr(4);
-        stderr_text_ += '\n';
-        constexpr std::size_t kMaxStderr = 64 * 1024;
-        if (stderr_text_.size() > kMaxStderr) {
-          stderr_text_.erase(0, stderr_text_.size() - kMaxStderr);
-        }
-      } else if (StartsWith(line, "done ")) {
-        FinishDone(line.substr(5));
-        return true;
-      } else if (StartsWith(line, "err ")) {
-        clean_ = false;
-        fail_ = "agent " + Label() + " error: " + line.substr(4);
-        Finish();
-        return true;
-      } else {
-        // Unknown frame: keep it as a raw-row candidate. Take() classifies
-        // a malformed FINAL row as a torn frame and a malformed earlier
-        // row as version skew — the same rule the file gather applies.
-        raw_rows_.push_back(line);
-      }
-    }
+    if (!reader_.Drain()) return false;
+    Release();
+    return true;
   }
 
-  std::uint64_t activity() override { return activity_; }
+  std::uint64_t activity() override { return reader_.activity(); }
 
   void Kill() override {
-    if (finished_) return;
-    clean_ = false;
-    fail_ = "agent " + Label() + ": unit killed by the orchestrator";
-    sock_.Close();  // the agent sees the hangup and kills its worker
-    Finish();
+    killed_ = true;
+    reader_.Close();  // the agent sees the hangup and kills its worker
+    Release();
   }
 
   TransportOutcome Take() override {
     TransportOutcome outcome;
-    outcome.clean = clean_ && done_seen_;
-    outcome.status = fail_;
-    for (std::size_t i = 0; i < raw_rows_.size(); ++i) {
-      try {
-        outcome.rows.push_back(ParseWorkerRow(raw_rows_[i]));
-      } catch (const std::exception& e) {
-        if (i + 1 == raw_rows_.size()) {
-          outcome.torn_final_line = true;  // killed mid-write on the wire
-          break;
-        }
-        throw std::runtime_error("agent " + Label() +
-                                 " sent a malformed result row mid-stream (" +
-                                 e.what() + "): " + raw_rows_[i]);
-      }
+    const std::string agent = "agent " + transport_->agents_[slot_index_].endpoint.Label();
+    reader_.TakeRows(agent, outcome);
+    const std::string& end = reader_.terminal();
+    outcome.clean = !killed_ && end == "done exit=0";
+    if (outcome.clean) return outcome;
+    if (killed_) {
+      outcome.status = agent + ": unit killed by the orchestrator";
+    } else if (StartsWith(end, "done ")) {
+      std::string describe = end.substr(5);  // "exit=C" or "signal=S"
+      std::replace(describe.begin(), describe.end(), '=', ' ');
+      outcome.status = agent + ": worker failed: " + describe + "; stderr: " + reader_.LogTail();
+    } else if (StartsWith(end, "err ")) {
+      outcome.status = agent + " error: " + end.substr(4);
+    } else if (!reader_.read_error().empty()) {
+      outcome.status = agent + " connection error: " + reader_.read_error() +
+                       "; stderr: " + reader_.LogTail();
+    } else {
+      outcome.status = agent + " connection lost mid-unit (agent died or dropped the "
+                       "link); stderr: " + reader_.LogTail();
     }
     return outcome;
   }
 
  private:
-  std::string Label() const {
-    return transport_->agents_[slot_index_].endpoint.Label();
-  }
-
-  std::string StderrTail() const {
-    return stderr_text_.empty() ? "<empty stderr>" : StderrTailOf(stderr_text_);
-  }
-
-  void FinishDone(const std::string& status_text) {
-    done_seen_ = true;
-    // "exit=C" or "signal=S".
-    std::string describe = status_text;
-    bool ok = false;
-    if (StartsWith(status_text, "exit=")) {
-      describe = "exit " + status_text.substr(5);
-      ok = status_text == "exit=0";
-    } else if (StartsWith(status_text, "signal=")) {
-      describe = "signal " + status_text.substr(7);
-    }
-    clean_ = ok;
-    if (!ok) {
-      fail_ = "agent " + Label() + ": worker failed: " + describe +
-              "; stderr: " + StderrTail();
-    }
-    Finish();
-  }
-
-  void FinishLost(const std::string& how) {
-    clean_ = false;
-    fail_ = "agent " + Label() + " " + how + "; stderr: " + StderrTail();
-    Finish();
-  }
-
-  void Finish() {
-    finished_ = true;
-    Release();
-  }
-
   void Release() {
     if (released_) return;
     released_ = true;
@@ -319,15 +277,9 @@ class TcpTransportTask final : public TransportTask {
 
   TcpTransport* transport_;
   std::size_t slot_index_;
-  Socket sock_;
-  std::uint64_t activity_ = 0;
-  bool finished_ = false;
+  FrameReader reader_;
+  bool killed_ = false;
   bool released_ = false;
-  bool done_seen_ = false;
-  bool clean_ = false;
-  std::string fail_;
-  std::string stderr_text_;
-  std::vector<std::string> raw_rows_;
 };
 
 TcpTransport::TcpTransport(std::vector<HostEndpoint> hosts,

@@ -8,40 +8,46 @@
 // kill it, and hand back whatever rows it produced plus an honest account
 // of how it ended. Two implementations:
 //
-//   LocalExecTransport  the original fork/exec path: one hs_worker process
-//                       per unit, shard file + JSONL gather on local disk.
+//   LocalExecTransport  one hs_worker per unit, fork/exec'd with its
+//                       stdout on a pipe; its end is learned by waitpid.
 //   TcpTransport        one slot per remote hs_agent daemon; units travel
-//                       over the `# hs-fabric v1` line protocol and rows
-//                       stream back live. A dead connection is a dead
-//                       worker: the runner re-queues the unit elsewhere.
+//                       over the `# hs-fabric v1` line protocol and end
+//                       with a `done`/`err` frame. A dead connection is a
+//                       dead worker: the runner re-queues the unit.
 //
-// `# hs-fabric v1` (newline-delimited text, one connection per unit):
+// Both read one frame stream through one FrameReader: hs_worker writes
+// `row` frames and `# hs-progress` heartbeats to stdout, and hs_agent
+// relays that output verbatim, adding only its own `log`/`done`/`err`
+// frames. `# hs-fabric v1` (newline-delimited text, one connection per
+// unit):
 //
 //   agent:        # hs-fabric v1                      greeting on accept
 //   orchestrator: unit origin=K attempt=N cells=M [threads=T]
 //                 <global index>\t<canonical spec>    x M (shard-file body)
 //                 end
-//   agent:        row <worker JSONL row>              per completed cell
-//                 # hs-progress ...                   heartbeats, verbatim
-//                 log <worker stderr line>            diagnostics
+//   worker:       row <JSON worker row>               per completed cell
+//                 # hs-progress ...                   heartbeats
+//   agent:        log <worker stderr line>            diagnostics
 //                 done exit=C | done signal=S         terminal status
 //                 err msg=<reason>                    agent-side failure
 //
 // The agent closes the connection after `done`/`err`; the orchestrator
 // hanging up mid-unit makes the agent kill its worker and return to
-// accept. Outcomes are classified exactly like the local file gather:
-// a malformed FINAL row is a torn write (retryable drop), a malformed
-// earlier row is version skew (loud error), EOF without `done` is a dead
+// accept. Every stream byte counts as liveness. A malformed FINAL row is
+// a torn write (retryable drop), a malformed earlier row is version skew
+// (loud error), and a stream that ends before its unit does is a dead
 // worker.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/shard_io.h"
 #include "exp/sim_spec.h"
+#include "util/socket.h"
 
 namespace hs {
 
@@ -63,6 +69,44 @@ struct TransportOutcome {
   std::vector<IndexedSpecResult> rows;
 };
 
+/// The one reader of a `# hs-fabric` frame stream: a local worker's stdout
+/// pipe or an hs_agent connection. It never blocks, counts every byte as
+/// liveness, and sorts lines into row frames, heartbeats, `log` lines and
+/// the terminal `done`/`err` frame.
+class FrameReader {
+ public:
+  explicit FrameReader(Socket stream) : stream_(std::move(stream)) {}
+
+  /// Reads every line that has arrived. True once the stream is over:
+  /// EOF, a read error, or a terminal frame.
+  bool Drain();
+  /// Closes the stream; rows read so far are kept.
+  void Close() { stream_.Close(); }
+
+  /// Stream bytes read so far; heartbeats and `log` lines count too.
+  std::uint64_t activity() const { return activity_; }
+  /// The terminal `done ...` / `err ...` line; empty when none arrived.
+  const std::string& terminal() const { return terminal_; }
+  /// The read error that ended the stream; empty otherwise.
+  const std::string& read_error() const { return read_error_; }
+  /// The tail of the `log` lines, for error messages.
+  std::string LogTail() const;
+
+  /// Parses the row frames into `outcome.rows`. A malformed final row is a
+  /// write cut short and sets `outcome.torn_final_line`; a malformed
+  /// earlier row is version skew and throws std::runtime_error naming
+  /// `source`.
+  void TakeRows(const std::string& source, TransportOutcome& outcome) const;
+
+ private:
+  Socket stream_;
+  std::uint64_t activity_ = 0;
+  std::string terminal_;
+  std::string read_error_;
+  std::string log_;
+  std::vector<std::string> rows_;
+};
+
 /// One launched unit in flight. Poll/activity are cheap and non-blocking;
 /// Take() is called exactly once, after Poll() returned true.
 class TransportTask {
@@ -71,7 +115,7 @@ class TransportTask {
   /// True once the unit has terminated (executor exited, stream closed,
   /// or the task was killed) and Take() may be called.
   virtual bool Poll() = 0;
-  /// Monotone liveness counter (output bytes seen so far); the runner's
+  /// Monotone liveness counter (stream bytes read so far); the runner's
   /// inactivity monitor kills tasks whose counter stalls.
   virtual std::uint64_t activity() = 0;
   /// Hard-stop the unit (SIGKILL / connection close). Idempotent; a later
@@ -121,9 +165,9 @@ struct HostEndpoint {
 /// Throws std::invalid_argument naming the offending entry.
 std::vector<HostEndpoint> ParseHostList(const std::string& hosts);
 
-/// The fork/exec transport: shard files and JSONL gathers on local disk,
-/// exactly the pre-transport ShardedRunner behavior (same scratch-file
-/// stems, same error message shapes).
+/// The fork/exec transport: a shard file on local disk per unit, rows read
+/// from the worker's stdout pipe, its stderr kept beside the shard file
+/// for error messages.
 class LocalExecTransport final : public Transport {
  public:
   /// `slots` is the concurrency cap (the runner passes the plan width, so

@@ -105,7 +105,7 @@ std::optional<std::string> Socket::RecvLine() {
       return line;
     }
     char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
       Fail("Socket::RecvLine");
@@ -146,10 +146,10 @@ RecvLineStatus Socket::RecvLineWithTimeout(double timeout_s, std::string* line) 
     }
     first = false;
     if (PollFd(fd_, POLLIN, remaining_ms) == 0) return RecvLineStatus::kTimeout;
-    // POLLIN (or POLLHUP/POLLERR) is up: one recv cannot block, and an
+    // POLLIN (or POLLHUP/POLLERR) is up: one read cannot block, and an
     // error condition surfaces through it as -1 / EOF.
     char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
       Fail("Socket::RecvLineWithTimeout");

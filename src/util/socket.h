@@ -26,6 +26,8 @@ enum class RecvLineStatus {
 };
 
 /// A connected stream socket; move-only RAII over the file descriptor.
+/// Line reads use read(2), so a Socket can also own a pipe's read end
+/// (the fabric reads a local worker's stdout through one).
 class Socket {
  public:
   Socket() = default;

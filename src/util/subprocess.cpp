@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <fcntl.h>
+#include <stdexcept>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -38,6 +39,24 @@ std::string ProcessStatus::Describe() const {
 Subprocess Subprocess::Spawn(const std::vector<std::string>& argv,
                              const std::string& stdout_path,
                              const std::string& stderr_path) {
+  return Launch(argv, -1, stdout_path, stderr_path);
+}
+
+Subprocess Subprocess::SpawnPiped(const std::vector<std::string>& argv, int* stdout_pipe,
+                                  const std::string& stderr_path) {
+  int fds[2];
+  if (::pipe2(fds, O_CLOEXEC) != 0) {
+    throw std::runtime_error(std::string("pipe2: ") + std::strerror(errno));
+  }
+  Subprocess child = Launch(argv, fds[1], "", stderr_path);
+  ::close(fds[1]);
+  *stdout_pipe = fds[0];
+  return child;
+}
+
+Subprocess Subprocess::Launch(const std::vector<std::string>& argv, int stdout_fd,
+                              const std::string& stdout_path,
+                              const std::string& stderr_path) {
   Subprocess child;
   if (argv.empty()) {
     child.status_.error = "empty argv";
@@ -62,6 +81,8 @@ Subprocess Subprocess::Spawn(const std::vector<std::string>& argv,
   if (pid == 0) {
     // Child: redirect, exec, report failure through exit code 127 (the
     // shell convention) with a note on the original stderr if possible.
+    // dup2 clears O_CLOEXEC on the new stdout only.
+    if (stdout_fd >= 0 && ::dup2(stdout_fd, STDOUT_FILENO) < 0) _exit(127);
     if (!stdout_path.empty() && !RedirectToFile(STDOUT_FILENO, stdout_path)) _exit(127);
     if (!stderr_path.empty() && !RedirectToFile(STDERR_FILENO, stderr_path)) _exit(127);
     ::execvp(cargv[0], cargv.data());

@@ -1,6 +1,6 @@
 // Minimal POSIX subprocess spawning for the multi-process experiment
 // harness: fork/exec (no shell), optional stdout/stderr redirection to
-// files, blocking and deadline waits, non-blocking polls, and kill — the
+// files or stdout onto a pipe, blocking and deadline waits, non-blocking polls, and kill — the
 // primitives the fault-tolerant ShardedRunner needs to respawn dead
 // workers and reap hung ones. Every wait/poll retries EINTR, so a stray
 // signal during gather can never surface as a spurious worker failure.
@@ -44,6 +44,14 @@ class Subprocess {
                           const std::string& stdout_path = "",
                           const std::string& stderr_path = "");
 
+  /// Like Spawn, but the child's stdout is the write end of a fresh pipe
+  /// whose read end is stored in `*stdout_pipe` (owned by the caller).
+  /// Both ends are O_CLOEXEC, so children spawned later never inherit the
+  /// write end and the reader sees EOF once this child exits. Throws
+  /// std::runtime_error only when no pipe can be made.
+  static Subprocess SpawnPiped(const std::vector<std::string>& argv, int* stdout_pipe,
+                               const std::string& stderr_path = "");
+
   Subprocess(Subprocess&& other) noexcept;
   Subprocess& operator=(Subprocess&& other) noexcept;
   Subprocess(const Subprocess&) = delete;
@@ -76,6 +84,12 @@ class Subprocess {
   pid_t pid() const { return pid_; }
 
  private:
+  /// fork/exec; the child's stdout is `stdout_fd` when >= 0, else
+  /// `stdout_path` when non-empty.
+  static Subprocess Launch(const std::vector<std::string>& argv, int stdout_fd,
+                           const std::string& stdout_path,
+                           const std::string& stderr_path);
+
   pid_t pid_ = -1;  // -1: spawn failed or already reaped
   ProcessStatus status_;
   bool reaped_ = false;

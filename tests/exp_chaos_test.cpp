@@ -326,7 +326,7 @@ TEST(ChaosTest, SeededFaultScheduleDifferential) {
       case 1:  // silent row drops: worker exits 0 but the gather has holes
         plan = "drop-every=" + std::to_string(rng.UniformInt(1, 3));
         break;
-      case 2:  // killed mid-write: torn final JSONL line
+      case 2:  // killed mid-write: torn final row
         plan = "crash-before-cell=" + std::to_string(cell) +
                ";torn-final-line;exit-code=3";
         break;

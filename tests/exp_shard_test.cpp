@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <sstream>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "exp/runner.h"
 #include "exp/shard_io.h"
 #include "exp/shard_plan.h"
 #include "exp/sharded_runner.h"
+#include "exp/transport.h"
 #include "util/file_util.h"
 #include "util/subprocess.h"
 #include "util/thread_pool.h"
@@ -222,36 +224,83 @@ TEST(ShardIoTest, WorkerRowRejectsSchemaSkew) {
   EXPECT_THROW(ParseWorkerRow("not json"), std::runtime_error);
 }
 
-// --- tolerant worker-row reads (crashed-worker gather) ----------------------
+// --- the fabric frame reader ------------------------------------------------
 
-TEST(ShardIoTest, TolerantReadClassifiesTornFinalLine) {
-  const std::string dir = MakeTempDir("hs-shard-test-");
-  const std::string path = dir + "/rows.jsonl";
-  std::ostringstream rows;
-  WriteWorkerRow(rows, 0, FakeRow("baseline/FCFS/W5"));
-  std::ostringstream torn_row;
-  WriteWorkerRow(torn_row, 1, FakeRow("N&SPAA/FCFS/W5"));
-  const std::string torn = torn_row.str().substr(0, torn_row.str().size() / 2);
-  WriteTextFile(path, rows.str() + torn);
+/// A FrameReader over a pipe that already holds `bytes`, write end closed.
+FrameReader ReaderOverPipe(const std::string& bytes) {
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  EXPECT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
+  return FrameReader(Socket(fds[0]));
+}
 
-  const WorkerRowsRead read = ReadWorkerRowsTolerant(path);
-  ASSERT_EQ(read.rows.size(), 1u);  // the complete row survives
-  EXPECT_EQ(read.rows[0].index, 0u);
-  EXPECT_TRUE(read.torn_final_line);
-  EXPECT_EQ(read.torn_line, torn);
-  // The strict reader still refuses the same file (version-skew semantics).
-  EXPECT_THROW(ReadWorkerRows(path), std::runtime_error);
+std::string RowFrame(std::size_t index, const std::string& spec) {
+  std::ostringstream out;
+  out << "row ";
+  WriteWorkerRow(out, index, FakeRow(spec));
+  return out.str();
+}
 
-  // A clean file: no tear. A missing file: zero rows (died before opening).
-  WriteTextFile(path, rows.str());
-  EXPECT_FALSE(ReadWorkerRowsTolerant(path).torn_final_line);
-  EXPECT_EQ(ReadWorkerRowsTolerant(dir + "/nope.jsonl").rows.size(), 0u);
-  EXPECT_FALSE(ReadWorkerRowsTolerant(dir + "/nope.jsonl").torn_final_line);
+TEST(FrameReaderTest, ClassifiesTornFinalRowAndVersionSkew) {
+  const std::string row = RowFrame(0, "baseline/FCFS/W5");
+  const std::string next = RowFrame(1, "N&SPAA/FCFS/W5");
+  const std::string torn = next.substr(0, next.size() / 2);
 
-  // Garbage on a NON-final line is schema skew, not a crash: still throws.
-  WriteTextFile(path, "not json\n" + rows.str());
-  EXPECT_THROW(ReadWorkerRowsTolerant(path), std::runtime_error);
-  RemoveTreeBestEffort(dir);
+  // Complete rows before a torn final row survive; the tear is flagged.
+  FrameReader reader = ReaderOverPipe(row + "# hs-progress cell=0\n" + torn);
+  EXPECT_TRUE(reader.Drain());  // EOF
+  TransportOutcome outcome;
+  reader.TakeRows("test worker", outcome);
+  ASSERT_EQ(outcome.rows.size(), 1u);
+  EXPECT_EQ(outcome.rows[0].index, 0u);
+  EXPECT_TRUE(outcome.torn_final_line);
+
+  // The same bytes as a clean stream: no tear.
+  FrameReader clean = ReaderOverPipe(row + next);
+  EXPECT_TRUE(clean.Drain());
+  TransportOutcome clean_outcome;
+  clean.TakeRows("test worker", clean_outcome);
+  EXPECT_EQ(clean_outcome.rows.size(), 2u);
+  EXPECT_FALSE(clean_outcome.torn_final_line);
+
+  // A malformed row that is not the last one is version skew: it throws,
+  // naming the source.
+  FrameReader skewed = ReaderOverPipe("row not json\n" + row);
+  EXPECT_TRUE(skewed.Drain());
+  TransportOutcome skewed_outcome;
+  try {
+    skewed.TakeRows("test worker", skewed_outcome);
+    FAIL() << "a malformed mid-stream row must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("test worker"), std::string::npos) << e.what();
+  }
+}
+
+TEST(FrameReaderTest, EmptyStreamAndNonRowFrames) {
+  // A worker that died before writing anything: zero rows, no tear.
+  FrameReader empty = ReaderOverPipe("");
+  EXPECT_TRUE(empty.Drain());
+  EXPECT_EQ(empty.activity(), 0u);
+  TransportOutcome none;
+  empty.TakeRows("test worker", none);
+  EXPECT_TRUE(none.rows.empty());
+  EXPECT_FALSE(none.torn_final_line);
+
+  // Heartbeats and log lines are liveness, not rows; `done` ends the unit.
+  const std::string frames =
+      "# hs-progress start cells=2\nlog worker says hi\n# hs-progress cell=4\n";
+  FrameReader reader = ReaderOverPipe(frames + "done exit=0\nrow ignored\n");
+  EXPECT_TRUE(reader.Drain());
+  EXPECT_EQ(reader.activity(), frames.size() + std::string("done exit=0\n").size());
+  EXPECT_EQ(reader.terminal(), "done exit=0");
+  EXPECT_EQ(reader.LogTail(), "worker says hi");
+  EXPECT_TRUE(reader.read_error().empty());
+  TransportOutcome outcome;
+  reader.TakeRows("test worker", outcome);
+  EXPECT_TRUE(outcome.rows.empty());
+  EXPECT_FALSE(outcome.torn_final_line);
 }
 
 TEST(ShardedRunnerTest, TornFinalLineIsClassifiedAsCrashedWorker) {
@@ -261,11 +310,7 @@ TEST(ShardedRunnerTest, TornFinalLineIsClassifiedAsCrashedWorker) {
   const std::string dir = MakeTempDir("hs-shard-test-");
   const std::string wrapper = WriteScript(
       dir, "tearing_worker.sh",
-      "out=\"\"\n"
-      "for a in \"$@\"; do case \"$a\" in --out=*) out=\"${a#--out=}\";; esac; done\n" +
-          WorkerBinary() + " \"$@\" || exit $?\n" +
-          "size=$(wc -c < \"$out\")\n"
-          "head -c $((size - 20)) \"$out\" > \"$out.torn\" && mv \"$out.torn\" \"$out\"\n");
+      WorkerBinary() + " \"$@\" | grep -v '^# hs-progress' | head -c -20\n");
   ShardedRunnerOptions options;
   options.shards = 1;
   options.worker_cmd = wrapper;
@@ -398,15 +443,12 @@ TEST(ShardedRunnerTest, ReturnsRowsInSpecOrderAndStreamsInOrder) {
 }
 
 TEST(ShardedRunnerTest, ShardReturningRowsOutOfOrderStillMerges) {
-  // A wrapper worker that reverses its own JSONL output: the merged CSV
+  // A wrapper worker that reverses its own output stream: the merged CSV
   // must not care in which order a shard streamed its rows.
   const std::string dir = MakeTempDir("hs-shard-test-");
   const std::string wrapper = WriteScript(
       dir, "reversing_worker.sh",
-      "out=\"\"\n"
-      "for a in \"$@\"; do case \"$a\" in --out=*) out=\"${a#--out=}\";; esac; done\n" +
-          WorkerBinary() + " \"$@\" || exit $?\n" +
-          "tac \"$out\" > \"$out.rev\" && mv \"$out.rev\" \"$out\"\n");
+      WorkerBinary() + " \"$@\" | tac\n");
   const std::vector<SimSpec> specs = TinyGrid();
   ShardedRunnerOptions options;
   options.shards = 2;
@@ -451,10 +493,7 @@ TEST(ShardedRunnerTest, DroppedRowsAreSurfacedWithIndices) {
   const std::string dir = MakeTempDir("hs-shard-test-");
   const std::string wrapper = WriteScript(
       dir, "dropping_worker.sh",
-      "out=\"\"\n"
-      "for a in \"$@\"; do case \"$a\" in --out=*) out=\"${a#--out=}\";; esac; done\n" +
-          WorkerBinary() + " \"$@\" || exit $?\n" +
-          "sed -i '$d' \"$out\"\n");
+      WorkerBinary() + " \"$@\" | grep -v '^# hs-progress' | sed '$d'\n");
   ShardedRunnerOptions options;
   options.shards = 1;
   options.worker_cmd = wrapper;

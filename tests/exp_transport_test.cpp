@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -147,6 +148,16 @@ class AgentProc {
 std::uint16_t DeadPort() {
   TcpListener listener(0);
   return listener.port();
+}
+
+/// The agent's first reply to a unit header line (after its greeting).
+std::string AgentReplyTo(std::uint16_t port, const std::string& header) {
+  Socket probe = ConnectTcp("127.0.0.1", port, 5.0);
+  std::string line;
+  if (probe.RecvLineWithTimeout(5.0, &line) != RecvLineStatus::kLine) return "<no greeting>";
+  SendLine(probe, header);
+  if (probe.RecvLineWithTimeout(5.0, &line) != RecvLineStatus::kLine) return "<no reply>";
+  return line;
 }
 
 // --- ParseHostList -----------------------------------------------------------
@@ -292,6 +303,12 @@ TEST(TransportTest, BogusHeaderGetsErrAndAgentSurvives) {
     std::string reply;
     ASSERT_EQ(probe.RecvLineWithTimeout(5.0, &reply), RecvLineStatus::kLine);
     EXPECT_EQ(reply.rfind("err msg=", 0), 0u) << reply;
+    EXPECT_NE(reply.find("origin=banana"), std::string::npos) << reply;
+  }
+  for (const std::string token : {"attempt=0", "cells=99999999999", "threads=-1"}) {
+    const std::string reply = AgentReplyTo(a.port(), "unit origin=0 cells=1 " + token);
+    EXPECT_EQ(reply.rfind("err msg=", 0), 0u) << reply;
+    EXPECT_NE(reply.find(token), std::string::npos) << reply;
   }
   // The protocol error poisoned nothing: the same agent still serves a
   // full grid correctly afterwards.
@@ -300,6 +317,50 @@ TEST(TransportTest, BogusHeaderGetsErrAndAgentSurvives) {
       RunSharded(specs, TcpOptions(a.Label(), /*max_attempts=*/1, /*units=*/2));
   EXPECT_EQ(run.csv, InProcessCsv(specs));
   EXPECT_TRUE(run.report.complete());
+}
+
+TEST(TransportTest, AgentRejectsOutOfRangePort) {
+  const std::string dir = MakeTempDir("hs-transport-test-");
+  Subprocess agent = Subprocess::Spawn(
+      {SelfExeDir() + "/hs_agent", "--port=70000", "--port-file=" + dir + "/agent.port"},
+      "", dir + "/agent.stderr");
+  const bool exited = agent.WaitFor(10.0);
+  if (!exited) agent.Kill();
+  const ProcessStatus status = agent.Wait();
+  EXPECT_TRUE(exited) << "hs_agent --port=70000 kept running";
+  EXPECT_FALSE(status.ok());
+  EXPECT_FALSE(std::filesystem::exists(dir + "/agent.port"));  // never listened
+  EXPECT_NE(ReadTextFile(dir + "/agent.stderr").find("70000"), std::string::npos);
+  RemoveTreeBestEffort(dir);
+}
+
+// --- local exec and TCP read one frame stream --------------------------------
+
+TEST(TransportTest, WorkerFaultsMatchAcrossLocalExecAndTcp) {
+  // The same worker fault plans through local exec and through one agent:
+  // one frame reader means equal retries, equal launches, equal bytes.
+  const std::vector<SimSpec> specs = TinyGrid();
+  const std::string golden = InProcessCsv(specs);
+  for (const char* plan : {"crash-before-cell=2;signal=9",
+                           "crash-before-cell=4;torn-final-line;exit-code=3",
+                           "drop-every=2"}) {
+    SCOPED_TRACE(std::string("HS_FAULT=") + plan);
+    const FaultEnv fault(plan);
+    ShardedRunnerOptions options = TcpOptions("", /*max_attempts=*/3, /*units=*/3);
+    options.worker_threads = 1;
+    const FabricRun local = RunSharded(specs, options);
+    AgentProc agent;  // spawned under the plan: its workers inherit it
+    options.hosts = agent.Label();
+    const FabricRun tcp = RunSharded(specs, options);
+    EXPECT_EQ(local.csv, golden);
+    EXPECT_EQ(tcp.csv, local.csv);
+    EXPECT_GE(local.report.retries, 1u);
+    EXPECT_EQ(tcp.report.retries, local.report.retries);
+    EXPECT_EQ(tcp.report.workers_launched, local.report.workers_launched);
+    EXPECT_EQ(tcp.report.cells_scattered, local.report.cells_scattered);
+    EXPECT_NE(local.report.transport.find("local-exec"), std::string::npos);
+    EXPECT_NE(tcp.report.transport.find("tcp (1 agents"), std::string::npos);
+  }
 }
 
 // --- the differential: seeded network-fault schedules ------------------------

@@ -2,7 +2,10 @@
 // and sibling-binary resolution — the primitives under ShardedRunner.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include "util/file_util.h"
+#include "util/socket.h"
 #include "util/subprocess.h"
 
 namespace hs {
@@ -38,6 +41,26 @@ TEST(SubprocessTest, RedirectsStdoutToFile) {
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(ReadTextFile(out), "hello shard\n");
   RemoveTreeBestEffort(dir);
+}
+
+TEST(SubprocessTest, PipedChildHoldsOnlyItsStdoutEnd) {
+  // Both pipe ends are O_CLOEXEC, so the child holds its pipe only as
+  // stdout. Any other end it kept would also reach later siblings, and a
+  // write end held elsewhere keeps the reader from ever seeing EOF.
+  int out = -1;
+  Subprocess child = Subprocess::SpawnPiped(
+      {"/bin/sh", "-c", "readlink /proc/$$/fd/* || true"}, &out);
+  struct stat st;
+  ASSERT_EQ(::fstat(out, &st), 0);
+  const std::string own_pipe = "pipe:[" + std::to_string(st.st_ino) + "]";
+  Socket reader(out);
+  int holders = 0;
+  std::string line;
+  while (reader.RecvLineWithTimeout(5.0, &line) == RecvLineStatus::kLine) {
+    holders += line == own_pipe ? 1 : 0;
+  }
+  EXPECT_TRUE(child.Wait().ok());
+  EXPECT_EQ(holders, 1);  // fd 1 only
 }
 
 TEST(SubprocessTest, ExecFailureIsExit127WithStderrNote) {

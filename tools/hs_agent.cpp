@@ -5,18 +5,12 @@
 //
 // One daemon per host. It accepts one orchestrator connection at a time
 // (the orchestrator opens one connection per work unit), receives the
-// unit's cells, execs the local hs_worker against a scratch shard file,
-// and streams the worker's output back live:
-//
-//   agent:        # hs-fabric v1                      greeting on accept
-//   orchestrator: unit origin=K attempt=N cells=M [threads=T]
-//                 <global index>\t<canonical spec>    x M
-//                 end
-//   agent:        row <worker JSONL row>              per completed cell
-//                 # hs-progress ...                   heartbeats, verbatim
-//                 log <worker stderr line>            diagnostics
-//                 done exit=C | done signal=S         terminal status
-//                 err msg=<reason>                    agent-side failure
+// unit's cells, execs the local hs_worker against a scratch shard file
+// with its stdout on a pipe, and relays that output — the worker's `row`
+// frames and `# hs-progress` heartbeats — verbatim as it arrives. The
+// agent adds only its own frames (grammar in exp/transport.h): the
+// worker's stderr as `log` lines once it exits, then `done exit=C` /
+// `done signal=S`, or `err msg=<reason>` when the unit itself is bad.
 //
 // The agent closes the connection after `done`/`err` and goes back to
 // accept. If the orchestrator hangs up mid-unit, the agent kills its
@@ -31,16 +25,19 @@
 // Fault injection: HS_FAULT's network tokens (drop-conn-at-cell,
 // kill-agent-at-cell, torn-frame-at-cell, stall-at-cell — see
 // exp/fault_plan.h) fire here, gated on the unit's attempt number, when
-// the agent is about to forward the named cell's row. Worker-level tokens
+// the agent is about to relay the named cell's row. Worker-level tokens
 // ride through untouched: the spawned hs_worker reads HS_FAULT itself.
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -54,45 +51,6 @@
 namespace {
 
 using namespace hs;
-
-/// Incrementally tails a growing file: Drain() returns every newly
-/// completed line since the last call; the trailing unterminated fragment
-/// stays pending (readable via partial() once the writer is done).
-class FileTail {
- public:
-  explicit FileTail(std::string path) : path_(std::move(path)) {}
-
-  std::vector<std::string> Drain() {
-    std::ifstream in(path_, std::ios::binary);
-    std::vector<std::string> lines;
-    if (!in) return lines;
-    in.seekg(0, std::ios::end);
-    const std::streamoff size = in.tellg();
-    if (size <= offset_) return lines;
-    in.seekg(offset_);
-    std::string chunk(static_cast<std::size_t>(size - offset_), '\0');
-    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    chunk.resize(static_cast<std::size_t>(in.gcount()));
-    offset_ += static_cast<std::streamoff>(chunk.size());
-    pending_ += chunk;
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = pending_.find('\n', start);
-      if (nl == std::string::npos) break;
-      lines.push_back(pending_.substr(start, nl - start));
-      start = nl + 1;
-    }
-    pending_.erase(0, start);
-    return lines;
-  }
-
-  const std::string& partial() const { return pending_; }
-
- private:
-  std::string path_;
-  std::streamoff offset_ = 0;
-  std::string pending_;
-};
 
 /// Kills + reaps the worker on every exit path — a thrown SendAll (the
 /// orchestrator reset the connection) must not trip the Subprocess
@@ -111,16 +69,16 @@ class Reaper {
   Subprocess& proc_;
 };
 
-/// Global spec index of a worker JSONL row (`{"index":N,...`), or -1 when
-/// the line is not a row (the agent forwards it anyway; the orchestrator
-/// classifies it).
+/// Global spec index of a `row {"index":N,...` frame, or -1 for any other
+/// line (the agent relays it anyway; the orchestrator classifies it).
 long long CellIndexOf(const std::string& line) {
-  constexpr const char* kPrefix = "{\"index\":";
+  constexpr std::string_view kPrefix = "row {\"index\":";
   if (line.rfind(kPrefix, 0) != 0) return -1;
   errno = 0;
   char* end = nullptr;
-  const long long value = std::strtoll(line.c_str() + 9, &end, 10);
-  if (end == line.c_str() + 9 || errno == ERANGE || value < 0) return -1;
+  const char* digits = line.c_str() + kPrefix.size();
+  const long long value = std::strtoll(digits, &end, 10);
+  if (end == digits || errno == ERANGE || value < 0) return -1;
   return value;
 }
 
@@ -131,35 +89,36 @@ struct UnitHeader {
   int threads = 0;
 };
 
+/// Parses "unit origin=K attempt=N cells=M [threads=T]". Every value must
+/// be a plain decimal that fits an int; errors name the offending token.
 UnitHeader ParseUnitHeader(const std::string& line) {
-  // "unit origin=K attempt=N cells=M [threads=T]"
   UnitHeader header;
   bool saw_cells = false;
-  std::size_t pos = 5;  // past "unit "
-  while (pos < line.size()) {
-    std::size_t space = line.find(' ', pos);
-    if (space == std::string::npos) space = line.size();
-    const std::string token = line.substr(pos, space - pos);
-    pos = space + 1;
-    if (token.empty()) continue;
+  std::istringstream tokens(line.substr(5));  // past "unit "
+  for (std::string token; tokens >> token;) {
     const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
+    const std::string key = token.substr(0, eq);
+    const std::string text = eq == std::string::npos ? "" : token.substr(eq + 1);
+    errno = 0;
+    const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE || value > static_cast<unsigned long long>(INT_MAX)) {
       throw std::runtime_error("bad unit header token '" + token + "'");
     }
-    const std::string key = token.substr(0, eq);
-    const long long value = std::stoll(token.substr(eq + 1));
-    if (value < 0) throw std::runtime_error("negative value in '" + token + "'");
     if (key == "origin") {
-      header.origin = static_cast<std::size_t>(value);
+      header.origin = value;
     } else if (key == "attempt") {
+      if (value < 1) {
+        throw std::runtime_error("unit header '" + token + "': attempts start at 1");
+      }
       header.attempt = static_cast<int>(value);
     } else if (key == "cells") {
-      header.cells = static_cast<std::size_t>(value);
+      header.cells = value;
       saw_cells = true;
     } else if (key == "threads") {
       header.threads = static_cast<int>(value);
     } else {
-      throw std::runtime_error("unknown unit header key '" + key + "'");
+      throw std::runtime_error("unknown unit header key in '" + token + "'");
     }
   }
   if (!saw_cells) throw std::runtime_error("unit header missing cells=");
@@ -217,72 +176,64 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
   WriteTextFile(stem + ".specs", shard_body);
 
   std::vector<std::string> argv = {config.worker_bin, "--shard=" + stem + ".specs",
-                                   "--out=" + stem + ".jsonl",
+                                   "--out=/dev/stdout",
                                    "--attempt=" + std::to_string(header.attempt)};
   const int threads = header.threads > 0 ? header.threads : config.threads;
   if (threads > 0) argv.push_back("--threads=" + std::to_string(threads));
-  Subprocess proc = Subprocess::Spawn(argv, stem + ".stdout", stem + ".stderr");
+  int stdout_pipe = -1;
+  Subprocess proc = Subprocess::SpawnPiped(argv, &stdout_pipe, stem + ".stderr");
   Reaper reaper(proc);
 
-  FileTail out_tail(stem + ".jsonl");
-  FileTail err_tail(stem + ".stderr");
-  bool worker_done = false;
+  // Relay the worker's stdout line by line; a torn final row gets its
+  // newline here, and the orchestrator's torn-row rule classifies it.
+  Socket worker_out(stdout_pipe);
   for (;;) {
-    bool forwarded = false;
-    for (const std::string& line : out_tail.Drain()) {
-      const long long global = CellIndexOf(line);
-      if (global >= 0 && fault.kill_agent_at_cell == global) {
-        // A dead host: the whole agent vanishes, taking its worker along
-        // (the worker dies with the process group is not guaranteed, so
-        // kill it first for hygiene).
-        proc.Kill();
-        proc.Wait();
-        std::raise(SIGKILL);
-      }
-      if (global >= 0 && fault.drop_conn_at_cell == global) {
-        return;  // Reaper kills the worker; the orchestrator sees EOF
-      }
-      if (global >= 0 && fault.torn_frame_at_cell == global) {
-        const std::string framed = "row " + line + "\n";
-        conn.SendAll(std::string_view(framed).substr(0, framed.size() / 2));
-        return;  // torn frame on the wire, then EOF
-      }
-      if (global >= 0 && fault.stall_at_cell == global) {
-        // Keep the connection open but go silent: only the orchestrator's
-        // inactivity monitor can end this unit. Its hangup releases us.
-        proc.Kill();
-        proc.Wait();
-        while (!conn.PeerClosed()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        }
-        return;
-      }
-      SendLine(conn, "row " + line);
-      forwarded = true;
-    }
-    for (const std::string& line : err_tail.Drain()) {
-      if (line.rfind("# hs-progress", 0) == 0) {
-        SendLine(conn, line);  // heartbeats travel verbatim
-      } else {
-        SendLine(conn, "log " + line);
-      }
-      forwarded = true;
-    }
-    if (worker_done) break;
-    if (proc.Poll()) {
-      worker_done = true;  // one more drain pass for the final rows
+    std::string line;
+    const RecvLineStatus read = worker_out.RecvLineWithTimeout(0.01, &line);
+    if (read == RecvLineStatus::kEof) break;
+    if (read == RecvLineStatus::kTimeout) {
+      if (conn.PeerClosed()) return;  // orchestrator gave up on this unit
       continue;
     }
-    if (!forwarded) {
-      if (conn.PeerClosed()) return;  // orchestrator gave up on this unit
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const long long global = CellIndexOf(line);
+    if (global >= 0 && fault.kill_agent_at_cell == global) {
+      // A dead host: the whole agent vanishes, taking its worker along
+      // (the worker dies with the process group is not guaranteed, so
+      // kill it first for hygiene).
+      proc.Kill();
+      proc.Wait();
+      std::raise(SIGKILL);
     }
+    if (global >= 0 && fault.drop_conn_at_cell == global) {
+      return;  // Reaper kills the worker; the orchestrator sees EOF
+    }
+    if (global >= 0 && fault.torn_frame_at_cell == global) {
+      conn.SendAll(std::string_view(line).substr(0, (line.size() + 1) / 2));
+      return;  // torn frame on the wire, then EOF
+    }
+    if (global >= 0 && fault.stall_at_cell == global) {
+      // Keep the connection open but go silent: only the orchestrator's
+      // inactivity monitor can end this unit. Its hangup releases us.
+      proc.Kill();
+      proc.Wait();
+      while (!conn.PeerClosed()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      return;
+    }
+    SendLine(conn, line);
+  }
+  while (!proc.WaitFor(0.01)) {
+    if (conn.PeerClosed()) return;  // closed its stdout, then wedged
   }
 
-  // A trailing unterminated fragment is a torn write: forward it as-is —
-  // the orchestrator's malformed-final-row rule classifies it.
-  if (!out_tail.partial().empty()) SendLine(conn, "row " + out_tail.partial());
-
+  std::string err_text;
+  try {
+    err_text = ReadTextFile(stem + ".stderr");
+  } catch (const std::exception&) {
+  }
+  std::istringstream err_lines(err_text);
+  for (std::string line; std::getline(err_lines, line);) SendLine(conn, "log " + line);
   const ProcessStatus status = proc.Wait();
   if (!status.spawned) {
     SendLine(conn, "err msg=worker spawn failed: " + status.error);
@@ -301,8 +252,7 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
 int main(int argc, char** argv) {
   try {
     const CliArgs args(argc, argv);
-    const std::uint16_t port =
-        static_cast<std::uint16_t>(args.GetInt("port", 0));
+    const std::int64_t port = args.GetInt("port", 0);
     const std::string port_file = args.GetString("port-file", "");
     AgentConfig config;
     config.worker_bin = args.GetString("worker-bin", "");
@@ -310,6 +260,9 @@ int main(int argc, char** argv) {
     config.threads = static_cast<int>(args.GetInt("threads", 0));
     const bool bind_any = args.GetBool("bind-any", false);
     args.RejectUnknown();
+    if (port < 0 || port > 65535) {
+      throw std::invalid_argument("--port=" + std::to_string(port) + " is not in 0..65535");
+    }
 
     if (config.worker_bin.empty()) {
       const std::string dir = SelfExeDir();
@@ -321,7 +274,7 @@ int main(int argc, char** argv) {
       std::filesystem::create_directories(config.work_dir);
     }
 
-    TcpListener listener(port, bind_any);
+    TcpListener listener(static_cast<std::uint16_t>(port), bind_any);
     if (!port_file.empty()) {
       // Atomic publish: harnesses poll for the file, then read the port.
       const std::string tmp = port_file + ".tmp";

@@ -47,10 +47,10 @@ int main(int argc, char** argv) {
   using namespace hs;
   try {
     const CliArgs args(argc, argv);
-    const int port = static_cast<int>(args.GetInt("port", 0));
+    const std::int64_t port = args.GetInt("port", 0);
     const std::string oracle = args.GetString("oracle-snapshot", "");
     args.RejectUnknown();
-    if (args.positional().empty() || (oracle.empty() && port <= 0)) {
+    if (args.positional().empty() || (oracle.empty() && (port < 1 || port > 65535))) {
       std::fprintf(stderr,
                    "usage: %s --port=N VERB [key=value]...\n"
                    "       %s --oracle-snapshot=FILE VERB [key=value]...\n",

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   try {
     const CliArgs args(argc, argv);
     const std::string spec_text = args.GetString("spec", "");
-    const int port = static_cast<int>(args.GetInt("port", 0));
+    const std::int64_t port = args.GetInt("port", 0);
     const std::string port_file = args.GetString("port-file", "");
     const std::int64_t headroom =
         args.GetInt("headroom", static_cast<std::int64_t>(ServiceSession::kDefaultHeadroom));

@@ -5,16 +5,18 @@
 // Reads the shard spec file written by ShardedRunner (shard_io.h), runs
 // every cell through the ordinary in-process ExperimentRunner (so trace
 // sharing, validation, and failure semantics are identical to a local
-// run), and streams one JSONL result row per completed cell to --out,
-// flushed per row: if this process dies mid-shard, every completed row is
-// still on disk and the orchestrator reports exactly which spec indices
-// were dropped.
+// run), and writes the `# hs-fabric` frame stream (exp/transport.h) to
+// --out: one `row <JSON row>` frame per completed cell, flushed with the
+// cell, so if this process dies mid-shard every completed row has already
+// left and the orchestrator reports exactly which spec indices were
+// dropped. The fabric passes --out=/dev/stdout and reads the stream from
+// a pipe.
 //
-// Liveness: every completed cell also emits a heartbeat line
-// `# hs-progress cell=<global spec index>` on stderr (plus one
-// `# hs-progress start cells=<n>` after the shard file is read), flushed
-// immediately — the orchestrator watches the redirected stderr/out files
-// for growth, so a wedged worker is detected by inactivity and killed.
+// Liveness: every completed cell is followed by a heartbeat frame
+// `# hs-progress cell=<global spec index>` (plus one
+// `# hs-progress start cells=<n>` after the shard file is read) in the
+// same stream — the orchestrator counts stream bytes, so a wedged worker
+// is detected by inactivity and killed.
 //
 // Fault injection: the HS_FAULT environment variable carries a
 // deterministic FaultPlan (exp/fault_plan.h) — crash-before-cell, hang,
@@ -41,15 +43,15 @@
 
 namespace {
 
-/// Emits one flushed heartbeat line on stderr (the orchestrator's
-/// inactivity monitor watches the redirected file for growth).
-void Heartbeat(const char* what, long long value) {
-  std::fprintf(stderr, "# hs-progress %s=%lld\n", what, value);
-  std::fflush(stderr);
+/// Writes one flushed heartbeat frame (the orchestrator's inactivity
+/// monitor counts stream bytes).
+void Heartbeat(std::ostream& out, const char* what, long long value) {
+  out << "# hs-progress " << what << '=' << value << '\n';
+  out.flush();
 }
 
 /// Translates the runner's local spec indices back to the global indices
-/// of the shard file and streams each row, durably, as it completes —
+/// of the shard file and streams each row frame as it completes —
 /// injecting the HS_FAULT plan (when armed for this attempt) at exactly
 /// the point a real crash/hang/drop would bite: between computing a cell
 /// and persisting its row.
@@ -71,6 +73,7 @@ class ShardOutputSink final : public hs::ResultSink {
       if (fault_.torn_final_line) {
         // A killed-mid-write tear: the first half of the row, no newline.
         std::ostringstream full;
+        full << "row ";
         hs::WriteWorkerRow(full, static_cast<std::size_t>(global), row);
         const std::string text = full.str();
         out_ << text.substr(0, text.size() / 2);
@@ -81,12 +84,12 @@ class ShardOutputSink final : public hs::ResultSink {
     }
     ++completed_;
     if (fault_.drop_every > 0 && completed_ % fault_.drop_every == 0) {
-      Heartbeat("cell", global);  // computed, heartbeat sent — row "lost"
+      Heartbeat(out_, "cell", global);  // computed, heartbeat sent — row "lost"
       return;
     }
+    out_ << "row ";
     hs::WriteWorkerRow(out_, static_cast<std::size_t>(global), row);
-    out_.flush();
-    Heartbeat("cell", global);
+    Heartbeat(out_, "cell", global);  // its flush sends the row too
   }
 
  private:
@@ -136,14 +139,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "hs_worker: cannot open --out=%s\n", out_path.c_str());
       return 1;
     }
-    Heartbeat("start cells", static_cast<long long>(specs.size()));
+    Heartbeat(out, "start cells", static_cast<long long>(specs.size()));
     ShardOutputSink sink(out, std::move(global_indices), fault);
 
     ThreadPool pool(threads > 0 ? static_cast<std::size_t>(threads) : 0);
     ExperimentRunner runner(pool);
     runner.Run(specs, &sink);
-    std::printf("hs_worker: ran %zu cells from %s\n", specs.size(),
-                shard_path.c_str());
+    std::fprintf(stderr, "hs_worker: ran %zu cells from %s\n", specs.size(),
+                 shard_path.c_str());
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hs_worker: %s\n", e.what());
