@@ -1,23 +1,21 @@
 #include "exp/fault_plan.h"
 
-#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
+
+#include "util/parse.h"
 
 namespace hs {
 
 namespace {
 
 long long ParseNonNegative(const std::string& token, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE ||
-      parsed < 0) {
+  const std::optional<std::int64_t> parsed = ParseInt(value, 0);
+  if (!parsed) {
     throw std::invalid_argument("fault plan: bad value in '" + token +
                                 "' (want a non-negative integer)");
   }
-  return parsed;
+  return *parsed;
 }
 
 }  // namespace

@@ -3,20 +3,17 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <istream>
 #include <limits>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/file_util.h"
+#include "util/parse.h"
 
 namespace hs {
 
 namespace {
-
-constexpr const char kShardHeader[] = "# hs-shard v1";
 
 // --- SimResult field tables -------------------------------------------------
 // One row in these tables = one key in the worker JSON "result" object. The
@@ -158,7 +155,7 @@ class JsonCursor {
   }
 
   /// The raw characters of a JSON number token (validated by the caller's
-  /// strtod/strtoull, which must consume all of it).
+  /// strtod/ParseInt, which must consume all of it).
   std::string ParseNumberToken() {
     SkipWs();
     const std::size_t start = pos_;
@@ -196,16 +193,11 @@ double ParseExactDouble(JsonCursor& cur) {
   return value;
 }
 
-unsigned long long ParseCount(JsonCursor& cur) {
+std::size_t ParseCount(JsonCursor& cur) {
   const std::string token = cur.ParseNumberToken();
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (token.empty() || token[0] == '-' || end != token.c_str() + token.size() ||
-      errno == ERANGE) {
-    cur.Fail("bad counter '" + token + "'");
-  }
-  return value;
+  const std::optional<std::int64_t> value = ParseInt(token, 0);
+  if (!value) cur.Fail("bad counter '" + token + "'");
+  return static_cast<std::size_t>(*value);
 }
 
 SimResult ParseResultObject(JsonCursor& cur) {
@@ -228,7 +220,7 @@ SimResult ParseResultObject(JsonCursor& cur) {
     if (!known) {
       for (const CountField& f : kCountFields) {
         if (key == f.name) {
-          result.*(f.field) = static_cast<std::size_t>(ParseCount(cur));
+          result.*(f.field) = ParseCount(cur);
           known = true;
           break;
         }
@@ -236,13 +228,9 @@ SimResult ParseResultObject(JsonCursor& cur) {
     }
     if (!known && key == "makespan") {
       const std::string token = cur.ParseNumberToken();
-      errno = 0;
-      char* end = nullptr;
-      const long long value = std::strtoll(token.c_str(), &end, 10);
-      if (end != token.c_str() + token.size() || errno == ERANGE) {
-        cur.Fail("bad makespan '" + token + "'");
-      }
-      result.makespan = static_cast<SimTime>(value);
+      const std::optional<std::int64_t> value = ParseInt(token);
+      if (!value) cur.Fail("bad makespan '" + token + "'");
+      result.makespan = static_cast<SimTime>(*value);
       known = true;
     }
     if (!known) cur.Fail("unknown result field '" + key + "'");
@@ -257,12 +245,11 @@ SimResult ParseResultObject(JsonCursor& cur) {
 
 }  // namespace
 
-void WriteShardFile(std::ostream& out, const std::vector<std::size_t>& indices,
-                    const std::vector<SimSpec>& specs) {
-  out << kShardHeader << "\n";
+void WriteShardCells(std::ostream& out, const std::vector<std::size_t>& indices,
+                     const std::vector<SimSpec>& specs) {
   for (const std::size_t index : indices) {
     if (index >= specs.size()) {
-      throw std::runtime_error("WriteShardFile: index " + std::to_string(index) +
+      throw std::runtime_error("WriteShardCells: index " + std::to_string(index) +
                                " out of range (" + std::to_string(specs.size()) +
                                " specs)");
     }
@@ -270,11 +257,10 @@ void WriteShardFile(std::ostream& out, const std::vector<std::size_t>& indices,
   }
 }
 
-void WriteShardFileAt(const std::string& path, const std::vector<std::size_t>& indices,
-                      const std::vector<SimSpec>& specs) {
-  std::ostringstream out;
-  WriteShardFile(out, indices, specs);
-  WriteTextFile(path, out.str());
+void WriteShardFile(std::ostream& out, const std::vector<std::size_t>& indices,
+                    const std::vector<SimSpec>& specs) {
+  out << kShardHeader << "\n";
+  WriteShardCells(out, indices, specs);
 }
 
 std::vector<IndexedSpec> ReadShardFile(std::istream& in) {
@@ -301,20 +287,17 @@ std::vector<IndexedSpec> ReadShardFile(std::istream& in) {
                                ": expected '<index>\\t<spec>', got '" + line + "'");
     }
     const std::string index_text = line.substr(0, tab);
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long index = std::strtoull(index_text.c_str(), &end, 10);
-    if (index_text.empty() || end != index_text.c_str() + index_text.size() ||
-        errno == ERANGE) {
+    const std::optional<std::int64_t> index = ParseInt(index_text, 0);
+    if (!index) {
       throw std::runtime_error("shard file line " + std::to_string(lineno) +
                                ": bad spec index '" + index_text + "'");
     }
-    if (!seen.insert(index).second) {
+    if (!seen.insert(static_cast<std::size_t>(*index)).second) {
       throw std::runtime_error("shard file line " + std::to_string(lineno) +
                                ": duplicate spec index " + index_text);
     }
     IndexedSpec cell;
-    cell.index = static_cast<std::size_t>(index);
+    cell.index = static_cast<std::size_t>(*index);
     try {
       cell.spec = SimSpec::Parse(line.substr(tab + 1));
     } catch (const std::exception& e) {
@@ -328,16 +311,6 @@ std::vector<IndexedSpec> ReadShardFile(std::istream& in) {
                              std::string(kShardHeader) + "' header)");
   }
   return cells;
-}
-
-std::vector<IndexedSpec> ReadShardFileAt(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open shard file: " + path);
-  try {
-    return ReadShardFile(in);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
 }
 
 void WriteWorkerRow(std::ostream& out, std::size_t index, const SpecResult& row) {
@@ -367,7 +340,7 @@ IndexedSpecResult ParseWorkerRow(const std::string& line) {
     const std::string key = cur.ParseString();
     cur.Expect(':');
     if (key == "index") {
-      cell.index = static_cast<std::size_t>(ParseCount(cur));
+      cell.index = ParseCount(cur);
       saw_index = true;
     } else if (key == "spec") {
       cell.row.spec = SimSpec::Parse(cur.ParseString());

@@ -1,14 +1,18 @@
 // Wire formats of the multi-process experiment runner (ShardedRunner on
 // the orchestrator side, hs_worker on the shard side).
 //
-// Shard spec file — what the orchestrator scatters. Text; first line is the
-// version header, then one cell per line, global spec index and canonical
-// spec string (SimSpec::ToString, so the SimSpec print/parse round-trip is
-// the serialization):
+// Shard text — what the orchestrator scatters. First line is the version
+// header, then one cell per line, global spec index and canonical spec
+// string (SimSpec::ToString, so the SimSpec print/parse round-trip is the
+// serialization):
 //
 //   # hs-shard v1
 //   0	CUP&SPAA/FCFS/W5/seed=800
 //   7	baseline/SJF/W2/weeks=4
+//
+// No file is written: the text reaches hs_worker on its stdin (SpawnWorker,
+// exp/transport.h). hs_agent rebuilds it from the `unit` frame's cell lines
+// unchanged, so the worker's ReadShardFile is their one parser.
 //
 // Worker result rows — what each worker sends back. One JSON object per
 // completed cell, which hs_worker writes to stdout as a `row` frame of the
@@ -49,16 +53,21 @@ struct IndexedSpecResult {
   SpecResult row;
 };
 
-/// Writes the shard file for `indices` (positions into `specs`).
+/// The version header, the first line of every shard text.
+inline constexpr const char* kShardHeader = "# hs-shard v1";
+
+/// Writes one `<index>\t<spec>` line per cell of `indices` (positions
+/// into `specs`).
+void WriteShardCells(std::ostream& out, const std::vector<std::size_t>& indices,
+                     const std::vector<SimSpec>& specs);
+/// The header line, then WriteShardCells: a whole shard text.
 void WriteShardFile(std::ostream& out, const std::vector<std::size_t>& indices,
                     const std::vector<SimSpec>& specs);
-void WriteShardFileAt(const std::string& path, const std::vector<std::size_t>& indices,
-                      const std::vector<SimSpec>& specs);
 
-/// Parses a shard file; throws std::runtime_error (with a line number) on a
-/// bad header, malformed line, invalid spec string, or duplicate index.
+/// Parses a shard text; throws std::runtime_error (with a line number) on a
+/// bad header, malformed line, bad index (strictly a non-negative decimal),
+/// invalid spec string, or duplicate index.
 std::vector<IndexedSpec> ReadShardFile(std::istream& in);
-std::vector<IndexedSpec> ReadShardFileAt(const std::string& path);
 
 /// Writes one worker result row (newline-terminated JSON object).
 void WriteWorkerRow(std::ostream& out, std::size_t index, const SpecResult& row);

@@ -4,14 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
-#include <filesystem>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "exp/shard_io.h"
 #include "exp/transport.h"
-#include "util/file_util.h"
 #include "util/rng.h"
 #include "util/subprocess.h"
 
@@ -121,21 +119,13 @@ std::vector<SpecResult> ShardedRunner::Run(const std::vector<SimSpec>& specs,
   const std::string worker =
       options_.worker_cmd.empty() ? DefaultWorkerCommand() : options_.worker_cmd;
 
-  const bool own_work_dir = options_.work_dir.empty();
-  std::string work_dir = options_.work_dir;
-  if (own_work_dir) {
-    work_dir = MakeTempDir("hs-shards-");
-  } else {
-    std::filesystem::create_directories(work_dir);
-  }
-
-  // Pick the transport: empty --hosts keeps the original local fork/exec
-  // path (one slot per plan shard, same scratch files, same messages);
-  // otherwise every unit travels to an hs_agent over TCP.
+  // Pick the transport: empty --hosts keeps the local fork/exec path (one
+  // slot per plan shard); otherwise every unit travels to an hs_agent over
+  // TCP.
   std::unique_ptr<Transport> transport;
   if (options_.hosts.empty()) {
-    transport = std::make_unique<LocalExecTransport>(
-        work_dir, worker, options_.worker_threads, last_plan_.shard_count());
+    transport = std::make_unique<LocalExecTransport>(worker, options_.worker_threads,
+                                                     last_plan_.shard_count());
   } else {
     TcpTransportOptions tcp;
     tcp.worker_threads = options_.worker_threads;
@@ -223,7 +213,7 @@ std::vector<SpecResult> ShardedRunner::Run(const std::vector<SimSpec>& specs,
             shard_name + " returned spec '" + row.row.spec.ToString() +
             "' for index " + std::to_string(row.index) +
             " where the plan scattered '" + specs[row.index].ToString() +
-            "' (shard file / worker version skew?)");
+            "' (shard text / worker version skew?)");
       }
       // Keep every gathered row, even from a failed attempt: resume is
       // exact, the retry covers only what is still missing.
@@ -360,7 +350,7 @@ std::vector<SpecResult> ShardedRunner::Run(const std::vector<SimSpec>& specs,
     }
   } catch (...) {
     // Stop every still-running unit before surfacing the failure — no
-    // zombies, and the scratch dir stays for inspection.
+    // zombies.
     for (Running& launch : running) launch.task->Kill();
     throw;
   }
@@ -389,10 +379,6 @@ std::vector<SpecResult> ShardedRunner::Run(const std::vector<SimSpec>& specs,
     rows[i] = *collected[i];
     if (sink != nullptr) sink->OnResult(i, rows[i]);
     last_report_.rows_merged += 1;
-  }
-
-  if (own_work_dir && !options_.keep_work_dir && last_report_.complete()) {
-    RemoveTreeBestEffort(work_dir);
   }
   return rows;
 }

@@ -2,8 +2,8 @@
 // worker processes — with a fault-tolerant fabric underneath.
 //
 // The orchestrator partitions the specs with a deterministic ShardPlan,
-// scatters one shard file per work unit (shard_io.h), runs one hs_worker
-// per unit through a Transport (transport.h), reads each worker's
+// runs one hs_worker per work unit through a Transport (transport.h) with
+// the unit's shard text (shard_io.h) on its stdin, reads each worker's
 // `# hs-fabric` frame stream of result rows, and merges the rows back
 // into canonical spec order — so the merged output (CSV
 // bytes included) is byte-identical to a single-process ExperimentRunner
@@ -12,8 +12,8 @@
 // or dropped rows along the way:
 //
 //   retry/respawn  a worker that exits non-zero, dies on a signal, tears
-//                  its final row, or drops rows is respawned with a fresh
-//                  shard file holding *only the missing spec indices*
+//                  its final row, or drops rows is respawned on a fresh
+//                  unit holding *only the missing spec indices*
 //                  (rows already gathered are kept — the wire format's
 //                  spec-index tagging makes resume exact), after an
 //                  exponential backoff with deterministic seed-derived
@@ -33,9 +33,9 @@
 //
 // Failure surfacing is part of the contract: in fail-fast mode a terminal
 // failure turns into a std::runtime_error naming the shard, the observed
-// status/stderr, and the missing spec indices. The scratch directory is
-// kept whenever anything went unhealed (failure or quarantine) so shard
-// files and worker stderr can be inspected.
+// status/stderr, and the missing spec indices. A Run writes no file: units
+// travel on worker stdin and worker stderr is kept in memory, so the
+// error message and the quarantine records carry the stderr tail.
 #pragma once
 
 #include <cstddef>
@@ -120,12 +120,6 @@ struct ShardedRunnerOptions {
   /// thread per core — oversubscribes when shards > 1; set explicitly for
   /// benchmarking).
   int worker_threads = 0;
-  /// Scratch directory for shard files and worker stderr. Empty: a fresh
-  /// temp dir, removed after a fully successful merge. A caller-provided
-  /// directory is created if needed and always kept.
-  std::string work_dir;
-  /// Keep the scratch directory even on success (debugging).
-  bool keep_work_dir = false;
   /// Respawn budget and backoff for failed workers.
   RetryPolicy retry;
   /// Hang detection: SIGKILL a worker whose frame stream delivers no byte

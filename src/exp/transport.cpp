@@ -1,12 +1,12 @@
 #include "exp/transport.h"
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "util/file_util.h"
+#include "util/parse.h"
 #include "util/socket.h"
-#include "util/subprocess.h"
 
 namespace hs {
 
@@ -30,15 +30,10 @@ std::string TailOf(std::string text, std::size_t max_bytes = 2000) {
 /// One hs_worker with its stdout on a pipe; waitpid says when it ended.
 class LocalExecTask final : public TransportTask {
  public:
-  LocalExecTask(Subprocess proc, int stdout_pipe, std::string worker_cmd,
-                std::string err_path)
+  LocalExecTask(Subprocess proc, int stdout_pipe, std::string worker_cmd)
       : proc_(std::move(proc)),
         reader_(Socket(stdout_pipe)),
-        worker_cmd_(std::move(worker_cmd)),
-        err_path_(std::move(err_path)) {}
-
-  // Exception unwinds must not trip the Subprocess zombie assert.
-  ~LocalExecTask() override { Kill(); }
+        worker_cmd_(std::move(worker_cmd)) {}
 
   bool Poll() override {
     const bool ended = reader_.Drain();
@@ -61,12 +56,8 @@ class LocalExecTask final : public TransportTask {
     const ProcessStatus status = proc_.Wait();
     outcome.clean = status.ok();
     if (!outcome.clean) {
-      std::string err;
-      try {
-        err = ReadTextFile(err_path_);
-      } catch (const std::exception&) {
-      }
-      outcome.status = who + " failed: " + status.Describe() + "; stderr: " + TailOf(err);
+      outcome.status = who + " failed: " + status.Describe() +
+                       "; stderr: " + TailOf(proc_.StderrText());
     }
     return outcome;
   }
@@ -75,7 +66,6 @@ class LocalExecTask final : public TransportTask {
   Subprocess proc_;
   FrameReader reader_;
   std::string worker_cmd_;
-  std::string err_path_;
 };
 
 /// A launch that failed before reaching any executor: immediately finished
@@ -169,30 +159,32 @@ std::vector<HostEndpoint> ParseHostList(const std::string& hosts) {
       throw std::invalid_argument("host list: entry '" + entry +
                                   "' is not host:port");
     }
-    const std::string port_text = entry.substr(colon + 1);
-    long port = 0;
-    std::size_t parsed = 0;
-    try {
-      port = std::stol(port_text, &parsed);
-    } catch (const std::exception&) {
-      parsed = 0;
-    }
-    if (parsed != port_text.size() || port < 1 || port > 65535) {
+    const std::optional<std::int64_t> port = ParseInt(entry.substr(colon + 1), 1, 65535);
+    if (!port) {
       throw std::invalid_argument("host list: bad port in '" + entry +
                                   "' (want 1..65535)");
     }
     out.push_back(HostEndpoint{entry.substr(0, colon),
-                               static_cast<std::uint16_t>(port)});
+                               static_cast<std::uint16_t>(*port)});
   }
   return out;
 }
 
+// --- worker spawn ------------------------------------------------------------
+
+Subprocess SpawnWorker(const std::string& worker_bin, const std::string& shard_text,
+                       int attempt, int threads, int* stdout_pipe) {
+  std::vector<std::string> argv = {worker_bin, "--shard=/dev/stdin", "--out=/dev/stdout",
+                                   "--attempt=" + std::to_string(attempt)};
+  if (threads > 0) argv.push_back("--threads=" + std::to_string(threads));
+  return Subprocess::SpawnPiped(argv, stdout_pipe, shard_text);
+}
+
 // --- LocalExecTransport ------------------------------------------------------
 
-LocalExecTransport::LocalExecTransport(std::string work_dir, std::string worker_cmd,
-                                       int worker_threads, std::size_t slots)
-    : work_dir_(std::move(work_dir)),
-      worker_cmd_(std::move(worker_cmd)),
+LocalExecTransport::LocalExecTransport(std::string worker_cmd, int worker_threads,
+                                       std::size_t slots)
+    : worker_cmd_(std::move(worker_cmd)),
       worker_threads_(worker_threads),
       slots_(slots == 0 ? 1 : slots) {}
 
@@ -202,20 +194,13 @@ std::string LocalExecTransport::Describe() const {
 
 std::unique_ptr<TransportTask> LocalExecTransport::Launch(
     const std::vector<std::size_t>& indices, const std::vector<SimSpec>& specs,
-    std::size_t origin_shard, int attempt) {
-  const std::string stem = work_dir_ + "/shard_" + std::to_string(origin_shard) +
-                           "_L" + std::to_string(launch_seq_++);
-  WriteShardFileAt(stem + ".specs", indices, specs);
-  std::vector<std::string> argv = {worker_cmd_, "--shard=" + stem + ".specs",
-                                   "--out=/dev/stdout",
-                                   "--attempt=" + std::to_string(attempt)};
-  if (worker_threads_ > 0) {
-    argv.push_back("--threads=" + std::to_string(worker_threads_));
-  }
+    std::size_t /*origin_shard*/, int attempt) {
+  std::ostringstream shard;
+  WriteShardFile(shard, indices, specs);
   int stdout_pipe = -1;
-  Subprocess proc = Subprocess::SpawnPiped(argv, &stdout_pipe, stem + ".stderr");
-  return std::make_unique<LocalExecTask>(std::move(proc), stdout_pipe, worker_cmd_,
-                                         stem + ".stderr");
+  Subprocess proc =
+      SpawnWorker(worker_cmd_, shard.str(), attempt, worker_threads_, &stdout_pipe);
+  return std::make_unique<LocalExecTask>(std::move(proc), stdout_pipe, worker_cmd_);
 }
 
 // --- TcpTransport ------------------------------------------------------------
@@ -339,21 +324,14 @@ std::unique_ptr<TransportTask> TcpTransport::Launch(
       throw std::runtime_error("unexpected greeting '" + greeting +
                                "' (agent version skew?)");
     }
-    std::string message = "unit origin=" + std::to_string(origin_shard) +
-                          " attempt=" + std::to_string(attempt) +
-                          " cells=" + std::to_string(indices.size());
-    if (options_.worker_threads > 0) {
-      message += " threads=" + std::to_string(options_.worker_threads);
-    }
-    message += '\n';
-    for (const std::size_t index : indices) {
-      message += std::to_string(index);
-      message += '\t';
-      message += specs[index].ToString();
-      message += '\n';
-    }
-    message += "end\n";
-    sock.SendAll(message);
+    std::ostringstream message;
+    message << "unit origin=" << origin_shard << " attempt=" << attempt
+            << " cells=" << indices.size();
+    if (options_.worker_threads > 0) message << " threads=" << options_.worker_threads;
+    message << '\n';
+    WriteShardCells(message, indices, specs);
+    message << "end\n";
+    sock.SendAll(message.str());
     pick->consecutive_failures = 0;
     return std::make_unique<TcpTransportTask>(this, pick_index, std::move(sock));
   } catch (const std::exception& e) {

@@ -8,22 +8,24 @@
 // kill it, and hand back whatever rows it produced plus an honest account
 // of how it ended. Two implementations:
 //
-//   LocalExecTransport  one hs_worker per unit, fork/exec'd with its
-//                       stdout on a pipe; its end is learned by waitpid.
+//   LocalExecTransport  one hs_worker per unit, fork/exec'd with the unit
+//                       on its stdin and its stdout on a pipe; its end is
+//                       learned by waitpid.
 //   TcpTransport        one slot per remote hs_agent daemon; units travel
 //                       over the `# hs-fabric v1` line protocol and end
 //                       with a `done`/`err` frame. A dead connection is a
 //                       dead worker: the runner re-queues the unit.
 //
-// Both read one frame stream through one FrameReader: hs_worker writes
-// `row` frames and `# hs-progress` heartbeats to stdout, and hs_agent
-// relays that output verbatim, adding only its own `log`/`done`/`err`
-// frames. `# hs-fabric v1` (newline-delimited text, one connection per
-// unit):
+// Both start workers through SpawnWorker (unit on stdin, stderr in memory:
+// no file on either host) and read one frame stream through one
+// FrameReader: hs_worker writes `row` frames and `# hs-progress`
+// heartbeats to stdout, and hs_agent relays that output verbatim, adding
+// only its own `log`/`done`/`err` frames. `# hs-fabric v1`
+// (newline-delimited text, one connection per unit):
 //
 //   agent:        # hs-fabric v1                      greeting on accept
 //   orchestrator: unit origin=K attempt=N cells=M [threads=T]
-//                 <global index>\t<canonical spec>    x M (shard-file body)
+//                 <global index>\t<canonical spec>    x M (shard cell lines)
 //                 end
 //   worker:       row <JSON worker row>               per completed cell
 //                 # hs-progress ...                   heartbeats
@@ -48,6 +50,7 @@
 #include "exp/shard_io.h"
 #include "exp/sim_spec.h"
 #include "util/socket.h"
+#include "util/subprocess.h"
 
 namespace hs {
 
@@ -165,15 +168,20 @@ struct HostEndpoint {
 /// Throws std::invalid_argument naming the offending entry.
 std::vector<HostEndpoint> ParseHostList(const std::string& hosts);
 
-/// The fork/exec transport: a shard file on local disk per unit, rows read
-/// from the worker's stdout pipe, its stderr kept beside the shard file
-/// for error messages.
+/// Starts `worker_bin --shard=/dev/stdin --out=/dev/stdout --attempt=N
+/// [--threads=T if > 0]` with `shard_text` (shard_io.h) on stdin, its frame
+/// stream on `*stdout_pipe` and its stderr in memory (StderrText). Both
+/// transports start workers only here: local exec directly, TCP in hs_agent.
+Subprocess SpawnWorker(const std::string& worker_bin, const std::string& shard_text,
+                       int attempt, int threads, int* stdout_pipe);
+
+/// The fork/exec transport: one SpawnWorker per unit, rows read from the
+/// worker's stdout pipe, its in-memory stderr quoted in failure statuses.
 class LocalExecTransport final : public Transport {
  public:
   /// `slots` is the concurrency cap (the runner passes the plan width, so
   /// local behavior is unchanged: at most one worker per original shard).
-  LocalExecTransport(std::string work_dir, std::string worker_cmd,
-                     int worker_threads, std::size_t slots);
+  LocalExecTransport(std::string worker_cmd, int worker_threads, std::size_t slots);
 
   std::size_t slots() const override { return slots_; }
   std::string Describe() const override;
@@ -183,11 +191,9 @@ class LocalExecTransport final : public Transport {
                                         int attempt) override;
 
  private:
-  std::string work_dir_;
   std::string worker_cmd_;
   int worker_threads_ = 0;
   std::size_t slots_ = 1;
-  std::size_t launch_seq_ = 0;
 };
 
 struct TcpTransportOptions {

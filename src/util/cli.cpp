@@ -1,9 +1,20 @@
 #include "util/cli.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
 
+#include "util/parse.h"
+
 namespace hs {
+
+namespace {
+
+[[noreturn]] void BadValue(const std::string& key, const std::string& value,
+                           const char* want) {
+  throw std::invalid_argument("--" + key + "=" + value + ": want " + want);
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -22,36 +33,43 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
-bool CliArgs::Has(const std::string& key) const {
-  recognized_.insert(key);
-  return flags_.count(key) > 0;
-}
-
-std::string CliArgs::GetString(const std::string& key, const std::string& def) const {
+const std::string* CliArgs::Find(const std::string& key) const {
   recognized_.insert(key);
   const auto it = flags_.find(key);
-  return it == flags_.end() ? def : it->second;
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+bool CliArgs::Has(const std::string& key) const { return Find(key) != nullptr; }
+
+std::string CliArgs::GetString(const std::string& key, const std::string& def) const {
+  const std::string* text = Find(key);
+  return text == nullptr ? def : *text;
 }
 
 std::int64_t CliArgs::GetInt(const std::string& key, std::int64_t def) const {
-  recognized_.insert(key);
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* text = Find(key);
+  if (text == nullptr) return def;
+  const std::optional<std::int64_t> value = ParseInt(*text);
+  if (!value) BadValue(key, *text, "an integer");
+  return *value;
 }
 
 double CliArgs::GetDouble(const std::string& key, double def) const {
-  recognized_.insert(key);
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* text = Find(key);
+  if (text == nullptr) return def;
+  double value = 0.0;
+  const char* end = text->data() + text->size();
+  const auto [ptr, ec] = std::from_chars(text->data(), end, value);
+  if (ec != std::errc() || ptr != end) BadValue(key, *text, "a number");
+  return value;
 }
 
 bool CliArgs::GetBool(const std::string& key, bool def) const {
-  recognized_.insert(key);
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* text = Find(key);
+  if (text == nullptr) return def;
+  if (*text == "true" || *text == "1" || *text == "yes") return true;
+  if (*text == "false" || *text == "0" || *text == "no") return false;
+  BadValue(key, *text, "true/false, 1/0 or yes/no");
 }
 
 std::vector<std::string> CliArgs::UnknownFlags() const {

@@ -13,6 +13,10 @@ namespace hs {
 /// Parses argv of the form: prog --alpha=3 --name=foo --verbose positional.
 /// Flags must use the --key=value or --key (boolean true) forms.
 ///
+/// GetInt/GetDouble/GetBool parse the whole value and throw
+/// std::invalid_argument naming `--key=value` when it is malformed
+/// (`--port=abc`, `--threads=2x`); booleans are true/1/yes or false/0/no.
+///
 /// Every Get*/Has call records its key as recognized; call RejectUnknown()
 /// once all flags have been read to fail loudly on typo'd flags instead of
 /// silently falling through to defaults.
@@ -37,6 +41,9 @@ class CliArgs {
   const std::string& program() const { return program_; }
 
  private:
+  /// The value of --key (recorded as recognized), or null when absent.
+  const std::string* Find(const std::string& key) const;
+
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;

@@ -1,6 +1,6 @@
-// Small file helpers shared by the sharded experiment harness: whole-file
-// read/write, line splitting, and temp-dir management for shard scratch
-// space. All failures throw std::runtime_error naming the path.
+// Small file helpers: whole-file read/write, line splitting, and temp-dir
+// management (tests and harnesses; the fabric itself writes no scratch
+// files). All failures throw std::runtime_error naming the path.
 #pragma once
 
 #include <string>

@@ -1,14 +1,15 @@
 #include "util/subprocess.h"
 
-#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fcntl.h>
 #include <stdexcept>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 
 namespace hs {
 
@@ -21,6 +22,23 @@ bool RedirectToFile(int fd, const std::string& path) {
   const bool ok = ::dup2(file, fd) >= 0;
   ::close(file);
   return ok;
+}
+
+/// A fresh O_CLOEXEC memfd holding `text` (read offset still 0); -1 with
+/// errno set on failure.
+int MemFd(const char* name, const std::string& text) {
+  const int fd = ::memfd_create(name, MFD_CLOEXEC);
+  for (std::size_t done = 0; fd >= 0 && done < text.size();) {
+    const ssize_t n = ::pwrite(fd, text.data() + done, text.size() - done,
+                               static_cast<off_t>(done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);  // a successful close leaves errno alone
+      return -1;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return fd;
 }
 
 }  // namespace
@@ -39,22 +57,44 @@ std::string ProcessStatus::Describe() const {
 Subprocess Subprocess::Spawn(const std::vector<std::string>& argv,
                              const std::string& stdout_path,
                              const std::string& stderr_path) {
-  return Launch(argv, -1, stdout_path, stderr_path);
+  const int inherit[3] = {-1, -1, -1};
+  return Launch(argv, inherit, stdout_path, stderr_path);
 }
 
 Subprocess Subprocess::SpawnPiped(const std::vector<std::string>& argv, int* stdout_pipe,
-                                  const std::string& stderr_path) {
-  int fds[2];
-  if (::pipe2(fds, O_CLOEXEC) != 0) {
-    throw std::runtime_error(std::string("pipe2: ") + std::strerror(errno));
+                                  const std::string& stdin_text) {
+  const int in = MemFd("hs-stdin", stdin_text);
+  const int err = in < 0 ? -1 : MemFd("hs-stderr", "");
+  int out[2];
+  if (err < 0 || ::pipe2(out, O_CLOEXEC) != 0) {
+    const std::string why = std::strerror(errno);
+    if (in >= 0) ::close(in);
+    if (err >= 0) ::close(err);
+    throw std::runtime_error("SpawnPiped: " + why);
   }
-  Subprocess child = Launch(argv, fds[1], "", stderr_path);
-  ::close(fds[1]);
-  *stdout_pipe = fds[0];
+  const int fds[3] = {in, out[1], err};
+  Subprocess child = Launch(argv, fds, "", "");
+  ::close(in);
+  ::close(out[1]);
+  child.stderr_fd_ = err;
+  *stdout_pipe = out[0];
   return child;
 }
 
-Subprocess Subprocess::Launch(const std::vector<std::string>& argv, int stdout_fd,
+std::string Subprocess::StderrText() const {
+  std::string text;
+  char buf[4096];
+  for (off_t at = 0; stderr_fd_ >= 0;) {
+    const ssize_t n = ::pread(stderr_fd_, buf, sizeof(buf), at);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    text.append(buf, static_cast<std::size_t>(n));
+    at += n;
+  }
+  return text;
+}
+
+Subprocess Subprocess::Launch(const std::vector<std::string>& argv, const int fds[3],
                               const std::string& stdout_path,
                               const std::string& stderr_path) {
   Subprocess child;
@@ -80,9 +120,11 @@ Subprocess Subprocess::Launch(const std::vector<std::string>& argv, int stdout_f
   }
   if (pid == 0) {
     // Child: redirect, exec, report failure through exit code 127 (the
-    // shell convention) with a note on the original stderr if possible.
-    // dup2 clears O_CLOEXEC on the new stdout only.
-    if (stdout_fd >= 0 && ::dup2(stdout_fd, STDOUT_FILENO) < 0) _exit(127);
+    // shell convention) with a note on stderr if possible. dup2 clears
+    // O_CLOEXEC on the new stdin/stdout/stderr only.
+    for (int target = 0; target < 3; ++target) {
+      if (fds[target] >= 0 && ::dup2(fds[target], target) < 0) _exit(127);
+    }
     if (!stdout_path.empty() && !RedirectToFile(STDOUT_FILENO, stdout_path)) _exit(127);
     if (!stderr_path.empty() && !RedirectToFile(STDERR_FILENO, stderr_path)) _exit(127);
     ::execvp(cargv[0], cargv.data());
@@ -95,63 +137,49 @@ Subprocess Subprocess::Launch(const std::vector<std::string>& argv, int stdout_f
   return child;
 }
 
-Subprocess::Subprocess(Subprocess&& other) noexcept
-    : pid_(other.pid_), status_(std::move(other.status_)), reaped_(other.reaped_) {
-  other.pid_ = -1;
-  other.reaped_ = true;
-}
+Subprocess::Subprocess(Subprocess&& other) noexcept { *this = std::move(other); }
 
 Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
   if (this != &other) {
-    assert(reaped_ || pid_ < 0);
-    pid_ = other.pid_;
+    Release();
+    pid_ = std::exchange(other.pid_, -1);
     status_ = std::move(other.status_);
-    reaped_ = other.reaped_;
-    other.pid_ = -1;
-    other.reaped_ = true;
+    reaped_ = std::exchange(other.reaped_, true);
+    stderr_fd_ = std::exchange(other.stderr_fd_, -1);
   }
   return *this;
 }
 
-Subprocess::~Subprocess() { assert(reaped_ || pid_ < 0); }
+Subprocess::~Subprocess() { Release(); }
+
+void Subprocess::Release() {
+  Kill();
+  Wait();
+  if (stderr_fd_ >= 0) ::close(stderr_fd_);
+  stderr_fd_ = -1;
+}
 
 ProcessStatus Subprocess::Wait() {
-  if (reaped_ || pid_ < 0) return status_;
+  Reap(0);
+  return status_;
+}
+
+bool Subprocess::Poll() { return Reap(WNOHANG); }
+
+bool Subprocess::Reap(int flags) {
+  if (reaped_ || pid_ < 0) return true;
   int wstatus = 0;
   pid_t waited = -1;
   do {
-    waited = ::waitpid(pid_, &wstatus, 0);
+    waited = ::waitpid(pid_, &wstatus, flags);
   } while (waited < 0 && errno == EINTR);
+  if (waited == 0) return false;  // WNOHANG: still running
   reaped_ = true;
   if (waited < 0) {
     // The child did spawn; only the wait failed (e.g. ECHILD when a host
     // app's SIGCHLD handler reaped it first) — keep `spawned` truthful.
     status_.error = std::string("waitpid: ") + std::strerror(errno);
-    return status_;
-  }
-  if (WIFSIGNALED(wstatus)) {
-    status_.signaled = true;
-    status_.term_signal = WTERMSIG(wstatus);
-  } else if (WIFEXITED(wstatus)) {
-    status_.exit_code = WEXITSTATUS(wstatus);
-  }
-  return status_;
-}
-
-bool Subprocess::Poll() {
-  if (reaped_ || pid_ < 0) return true;
-  int wstatus = 0;
-  pid_t waited = -1;
-  do {
-    waited = ::waitpid(pid_, &wstatus, WNOHANG);
-  } while (waited < 0 && errno == EINTR);
-  if (waited == 0) return false;  // still running
-  reaped_ = true;
-  if (waited < 0) {
-    status_.error = std::string("waitpid: ") + std::strerror(errno);
-    return true;
-  }
-  if (WIFSIGNALED(wstatus)) {
+  } else if (WIFSIGNALED(wstatus)) {
     status_.signaled = true;
     status_.term_signal = WTERMSIG(wstatus);
   } else if (WIFEXITED(wstatus)) {

@@ -1,6 +1,7 @@
 // Minimal POSIX subprocess spawning for the multi-process experiment
 // harness: fork/exec (no shell), optional stdout/stderr redirection to
-// files or stdout onto a pipe, blocking and deadline waits, non-blocking polls, and kill — the
+// files, or stdin text + stdout pipe + in-memory stderr, blocking and
+// deadline waits, non-blocking polls, and kill — the
 // primitives the fault-tolerant ShardedRunner needs to respawn dead
 // workers and reap hung ones. Every wait/poll retries EINTR, so a stray
 // signal during gather can never surface as a spurious worker failure.
@@ -28,8 +29,9 @@ struct ProcessStatus {
   std::string Describe() const;
 };
 
-/// One spawned child. Move-only; Wait() must be called (the destructor
-/// asserts the child was reaped so shard failures cannot leak zombies).
+/// One spawned child. Move-only. A child still running when its handle is
+/// destroyed or assigned over is SIGKILLed and reaped, so no exit path
+/// (an exception unwinding past a failed shard included) leaks a zombie.
 class Subprocess {
  public:
   /// An empty handle (no child): running() is false, Wait()/Poll() return
@@ -44,13 +46,16 @@ class Subprocess {
                           const std::string& stdout_path = "",
                           const std::string& stderr_path = "");
 
-  /// Like Spawn, but the child's stdout is the write end of a fresh pipe
-  /// whose read end is stored in `*stdout_pipe` (owned by the caller).
-  /// Both ends are O_CLOEXEC, so children spawned later never inherit the
-  /// write end and the reader sees EOF once this child exits. Throws
-  /// std::runtime_error only when no pipe can be made.
+  /// Like Spawn, but the child reads `stdin_text` on stdin, writes stdout
+  /// into a fresh pipe whose read end goes to `*stdout_pipe` (owned by the
+  /// caller), and stderr into memory (StderrText). Stdin and stderr are
+  /// memfds: the text is written before fork, so a child that dies unread
+  /// raises no SIGPIPE here and a chatty one never blocks on stderr. Every
+  /// fd is O_CLOEXEC: later children inherit none, and the reader sees EOF
+  /// once this child exits. Throws std::runtime_error only when no pipe or
+  /// memfd can be made.
   static Subprocess SpawnPiped(const std::vector<std::string>& argv, int* stdout_pipe,
-                               const std::string& stderr_path = "");
+                               const std::string& stdin_text = "");
 
   Subprocess(Subprocess&& other) noexcept;
   Subprocess& operator=(Subprocess&& other) noexcept;
@@ -83,16 +88,26 @@ class Subprocess {
 
   pid_t pid() const { return pid_; }
 
+  /// What a SpawnPiped child has written to stderr so far (all of it once
+  /// the child has exited, including after a kill); empty for Spawn.
+  std::string StderrText() const;
+
  private:
-  /// fork/exec; the child's stdout is `stdout_fd` when >= 0, else
-  /// `stdout_path` when non-empty.
-  static Subprocess Launch(const std::vector<std::string>& argv, int stdout_fd,
+  /// fork/exec; child stream i is `fds[i]` when >= 0, else stdout/stderr
+  /// go to the path when non-empty, else the stream is inherited.
+  static Subprocess Launch(const std::vector<std::string>& argv, const int fds[3],
                            const std::string& stdout_path,
                            const std::string& stderr_path);
+  /// Kill + reap a still-running child, then close the stderr memfd.
+  void Release();
+  /// waitpid(flags), EINTR retried; true once the status is cached (or
+  /// there is no child), false while a WNOHANG child still runs.
+  bool Reap(int flags);
 
   pid_t pid_ = -1;  // -1: spawn failed or already reaped
   ProcessStatus status_;
   bool reaped_ = false;
+  int stderr_fd_ = -1;  // SpawnPiped's stderr memfd, owned
 };
 
 /// Convenience: spawn + wait.

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
@@ -251,6 +252,34 @@ TEST(ChaosTest, FailFastNamesTheIsolatedPoisonCell) {
         << what;
     EXPECT_NE(what.find(specs[poison].ToString()), std::string::npos) << what;
   }
+}
+
+TEST(ChaosTest, RunsLeaveNoScratchFiles) {
+  // Units travel on worker stdin and worker stderr stays in memory: a
+  // clean run, a fail-fast failure and a best_effort quarantine all leave
+  // an empty TMPDIR as empty as they found it.
+  const std::string tmp = MakeTempDir("hs-chaos-tmpdir-");
+  const std::string saved = std::getenv("TMPDIR") ? std::getenv("TMPDIR") : "";
+  setenv("TMPDIR", tmp.c_str(), 1);
+  const std::vector<SimSpec> specs = TinyGrid();
+  RunSharded(specs, FabricOptions(/*max_attempts=*/1));
+  EXPECT_TRUE(std::filesystem::is_empty(tmp)) << "after a clean run";
+  {
+    const FaultEnv fault("crash-before-cell=4;attempts=99");
+    ShardedRunner fail_fast(FabricOptions(/*max_attempts=*/1));
+    EXPECT_THROW(fail_fast.Run(specs), std::runtime_error);
+    EXPECT_TRUE(std::filesystem::is_empty(tmp)) << "after a fail-fast failure";
+    ShardedRunnerOptions options = FabricOptions(/*max_attempts=*/2);
+    options.best_effort = true;
+    EXPECT_EQ(RunSharded(specs, options).report.quarantined.size(), 1u);
+    EXPECT_TRUE(std::filesystem::is_empty(tmp)) << "after a best_effort quarantine";
+  }
+  if (saved.empty()) {
+    unsetenv("TMPDIR");
+  } else {
+    setenv("TMPDIR", saved.c_str(), 1);
+  }
+  RemoveTreeBestEffort(tmp);
 }
 
 TEST(ChaosTest, TransientDeathWithoutFaultPlanAlsoHeals) {

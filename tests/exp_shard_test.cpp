@@ -169,6 +169,16 @@ TEST(ShardIoTest, ShardFileRejectsMalformedInput) {
   EXPECT_THROW(parse("# hs-shard v2\n"), std::runtime_error);        // wrong version
   EXPECT_THROW(parse("# hs-shard v1\nnotab\n"), std::runtime_error); // no tab
   EXPECT_THROW(parse("# hs-shard v1\nx\tbaseline/FCFS/W5\n"), std::runtime_error);
+  // Index must be a plain non-negative decimal: a -1 wrapped to ULLONG_MAX
+  // reaches hs_worker as -1, a fault plan's "off" sentinel, and hangs it.
+  for (const char* index : {"-1", "+7", " 7", "18446744073709551616"}) {
+    try {
+      parse(std::string("# hs-shard v1\n") + index + "\tbaseline/FCFS/W5\n");
+      ADD_FAILURE() << "index '" << index << "' was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+  }
   EXPECT_THROW(parse("# hs-shard v1\n0\tNOPE/FCFS/W5\n"), std::runtime_error);
   EXPECT_THROW(parse("# hs-shard v1\n0\tbaseline/FCFS/W5\n0\tbaseline/SJF/W5\n"),
                std::runtime_error);                                  // duplicate index
@@ -497,7 +507,6 @@ TEST(ShardedRunnerTest, DroppedRowsAreSurfacedWithIndices) {
   ShardedRunnerOptions options;
   options.shards = 1;
   options.worker_cmd = wrapper;
-  options.work_dir = dir + "/work";
   ShardedRunner runner(options);
   try {
     runner.Run(TinyGrid());

@@ -103,9 +103,10 @@ class AgentProc {
  public:
   AgentProc() : dir_(MakeTempDir("hs-transport-test-")) {
     const std::string exe_dir = SelfExeDir();
+    std::filesystem::create_directories(work_dir());
     proc_ = Subprocess::Spawn(
         {exe_dir + "/hs_agent", "--port-file=" + dir_ + "/agent.port",
-         "--worker-bin=" + exe_dir + "/hs_worker", "--work-dir=" + dir_ + "/work"},
+         "--worker-bin=" + exe_dir + "/hs_worker", "--work-dir=" + work_dir()},
         dir_ + "/agent.stdout", dir_ + "/agent.stderr");
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -134,6 +135,8 @@ class AgentProc {
 
   std::uint16_t port() const { return port_; }
   std::string Label() const { return "127.0.0.1:" + std::to_string(port_); }
+  /// The --work-dir the agent was given: accepted, but no unit writes there.
+  std::string work_dir() const { return dir_ + "/work"; }
 
  private:
   std::string dir_;
@@ -235,6 +238,10 @@ TEST(TransportTest, WorkerCrashHealsOverTcp) {
   EXPECT_EQ(run.report.bisections, 0u);
   EXPECT_EQ(run.report.workers_launched,
             run.report.shard_count + run.report.retries);
+  // Units travel on worker stdin, failed ones included: --work-dir stays
+  // empty on both agents.
+  EXPECT_TRUE(std::filesystem::is_empty(a.work_dir()));
+  EXPECT_TRUE(std::filesystem::is_empty(b.work_dir()));
 }
 
 // --- dead hosts --------------------------------------------------------------
@@ -310,6 +317,23 @@ TEST(TransportTest, BogusHeaderGetsErrAndAgentSurvives) {
     EXPECT_EQ(reply.rfind("err msg=", 0), 0u) << reply;
     EXPECT_NE(reply.find(token), std::string::npos) << reply;
   }
+  {
+    // A cell line with no tab passes the agent untouched; the worker's
+    // ReadShardFile rejects it, naming the line, and the unit ends unclean.
+    Socket probe = ConnectTcp("127.0.0.1", a.port(), 5.0);
+    std::string greeting;
+    ASSERT_EQ(probe.RecvLineWithTimeout(5.0, &greeting), RecvLineStatus::kLine);
+    probe.SendAll("unit origin=0 cells=1\nnotab\nend\n");
+    FrameReader reader(std::move(probe));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!reader.Drain() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(reader.terminal(), "done exit=1");
+    EXPECT_NE(reader.LogTail().find("shard file line 2: expected '<index>\\t<spec>'"),
+              std::string::npos)
+        << reader.LogTail();
+  }
   // The protocol error poisoned nothing: the same agent still serves a
   // full grid correctly afterwards.
   const std::vector<SimSpec> specs = TinyGrid();
@@ -320,18 +344,23 @@ TEST(TransportTest, BogusHeaderGetsErrAndAgentSurvives) {
 }
 
 TEST(TransportTest, AgentRejectsOutOfRangePort) {
-  const std::string dir = MakeTempDir("hs-transport-test-");
-  Subprocess agent = Subprocess::Spawn(
-      {SelfExeDir() + "/hs_agent", "--port=70000", "--port-file=" + dir + "/agent.port"},
-      "", dir + "/agent.stderr");
-  const bool exited = agent.WaitFor(10.0);
-  if (!exited) agent.Kill();
-  const ProcessStatus status = agent.Wait();
-  EXPECT_TRUE(exited) << "hs_agent --port=70000 kept running";
-  EXPECT_FALSE(status.ok());
-  EXPECT_FALSE(std::filesystem::exists(dir + "/agent.port"));  // never listened
-  EXPECT_NE(ReadTextFile(dir + "/agent.stderr").find("70000"), std::string::npos);
-  RemoveTreeBestEffort(dir);
+  // Out of range, or not a number at all: "abc" must not fall back to an
+  // ephemeral port.
+  for (const std::string port : {"70000", "abc"}) {
+    SCOPED_TRACE("--port=" + port);
+    const std::string dir = MakeTempDir("hs-transport-test-");
+    Subprocess agent = Subprocess::Spawn(
+        {SelfExeDir() + "/hs_agent", "--port=" + port, "--port-file=" + dir + "/agent.port"},
+        "", dir + "/agent.stderr");
+    const bool exited = agent.WaitFor(10.0);
+    if (!exited) agent.Kill();
+    const ProcessStatus status = agent.Wait();
+    EXPECT_TRUE(exited) << "hs_agent kept running";
+    EXPECT_FALSE(status.ok());
+    EXPECT_FALSE(std::filesystem::exists(dir + "/agent.port"));  // never listened
+    EXPECT_NE(ReadTextFile(dir + "/agent.stderr").find(port), std::string::npos);
+    RemoveTreeBestEffort(dir);
+  }
 }
 
 // --- local exec and TCP read one frame stream --------------------------------

@@ -1,4 +1,5 @@
 #include "util/cli.h"
+#include "util/parse.h"
 
 #include <gtest/gtest.h>
 
@@ -46,6 +47,52 @@ TEST(CliTest, BoolVariants) {
   EXPECT_TRUE(Make({"p", "--x=yes"}).GetBool("x", false));
   EXPECT_TRUE(Make({"p", "--x=1"}).GetBool("x", false));
   EXPECT_FALSE(Make({"p", "--x=no"}).GetBool("x", true));
+}
+
+TEST(CliTest, MalformedValuesThrowNamingTheFlag) {
+  const auto expect_rejected = [](const char* arg, auto get) {
+    const auto args = Make({"prog", arg});
+    try {
+      get(args);
+      ADD_FAILURE() << arg << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(arg), std::string::npos) << e.what();
+    }
+  };
+  const auto get_int = [](const CliArgs& a) { (void)a.GetInt("n", 0); };
+  const auto get_double = [](const CliArgs& a) { (void)a.GetDouble("n", 0.0); };
+  const auto get_bool = [](const CliArgs& a) { (void)a.GetBool("n", false); };
+  for (const char* arg : {"--n=abc", "--n=2x", "--n=", "--n= 7", "--n=+7", "--n=1.5",
+                          "--n=99999999999999999999", "--n"}) {
+    expect_rejected(arg, get_int);
+  }
+  for (const char* arg : {"--n=abc", "--n=0.5s", "--n=", "--n= 1", "--n=1e999"}) {
+    expect_rejected(arg, get_double);
+  }
+  for (const char* arg : {"--n=maybe", "--n=", "--n=TRUE", "--n=2"}) {
+    expect_rejected(arg, get_bool);
+  }
+}
+
+TEST(CliTest, StrictValuesStillParse) {
+  EXPECT_EQ(Make({"p", "--n=-12"}).GetInt("n", 0), -12);
+  EXPECT_EQ(Make({"p", "--n=9223372036854775807"}).GetInt("n", 0), INT64_MAX);
+  EXPECT_DOUBLE_EQ(Make({"p", "--n=-2.5e-3"}).GetDouble("n", 0.0), -2.5e-3);
+  EXPECT_DOUBLE_EQ(Make({"p", "--n=7"}).GetDouble("n", 0.0), 7.0);
+  EXPECT_FALSE(Make({"p", "--x=false"}).GetBool("x", true));
+  EXPECT_FALSE(Make({"p", "--x=0"}).GetBool("x", true));
+}
+
+TEST(CliTest, ParseIntIsWholeStringAndRangeChecked) {
+  EXPECT_EQ(ParseInt("42"), 42);
+  EXPECT_EQ(ParseInt("-1"), -1);
+  EXPECT_EQ(ParseInt("-1", 0), std::nullopt);
+  EXPECT_EQ(ParseInt("65535", 1, 65535), 65535);
+  EXPECT_EQ(ParseInt("65536", 1, 65535), std::nullopt);
+  for (const char* bad : {"", "+7", " 7", "7 ", "0x10", "1e3", "12x", "-",
+                          "9223372036854775808"}) {
+    EXPECT_EQ(ParseInt(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 TEST(CliTest, ProgramName) {

@@ -1,16 +1,20 @@
 // hs_agent: the remote end of the `# hs-fabric v1` TCP transport.
 //
 //   hs_agent [--port=N] [--port-file=FILE] [--worker-bin=PATH]
-//            [--work-dir=DIR] [--threads=N] [--bind-any]
+//            [--threads=N] [--bind-any]
 //
 // One daemon per host. It accepts one orchestrator connection at a time
 // (the orchestrator opens one connection per work unit), receives the
-// unit's cells, execs the local hs_worker against a scratch shard file
-// with its stdout on a pipe, and relays that output — the worker's `row`
-// frames and `# hs-progress` heartbeats — verbatim as it arrives. The
-// agent adds only its own frames (grammar in exp/transport.h): the
-// worker's stderr as `log` lines once it exits, then `done exit=C` /
-// `done signal=S`, or `err msg=<reason>` when the unit itself is bad.
+// unit's cells, and starts the local hs_worker through SpawnWorker
+// (exp/transport.h): the shard header plus the cell lines exactly as
+// received are the worker's stdin, so the worker's ReadShardFile is the
+// one check on them. The agent relays the worker's stdout — its `row`
+// frames and `# hs-progress` heartbeats — verbatim as it arrives, and
+// adds only its own frames: the worker's in-memory stderr as `log` lines
+// once it exits, then `done exit=C` / `done signal=S`, or
+// `err msg=<reason>` when the unit header itself is bad. No unit writes a
+// file; --work-dir=DIR is still accepted for older launch scripts and
+// ignored.
 //
 // The agent closes the connection after `done`/`err` and goes back to
 // accept. If the orchestrator hangs up mid-unit, the agent kills its
@@ -27,24 +31,23 @@
 // exp/fault_plan.h) fire here, gated on the unit's attempt number, when
 // the agent is about to relay the named cell's row. Worker-level tokens
 // ride through untouched: the spawned hs_worker reads HS_FAULT itself.
-#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "exp/fault_plan.h"
+#include "exp/sharded_runner.h"
 #include "exp/transport.h"
 #include "util/cli.h"
 #include "util/file_util.h"
+#include "util/parse.h"
 #include "util/socket.h"
 #include "util/subprocess.h"
 
@@ -52,40 +55,21 @@ namespace {
 
 using namespace hs;
 
-/// Kills + reaps the worker on every exit path — a thrown SendAll (the
-/// orchestrator reset the connection) must not trip the Subprocess
-/// zombie assert.
-class Reaper {
- public:
-  explicit Reaper(Subprocess& proc) : proc_(proc) {}
-  ~Reaper() {
-    if (proc_.running()) {
-      proc_.Kill();
-      proc_.Wait();
-    }
-  }
-
- private:
-  Subprocess& proc_;
-};
-
 /// Global spec index of a `row {"index":N,...` frame, or -1 for any other
 /// line (the agent relays it anyway; the orchestrator classifies it).
 long long CellIndexOf(const std::string& line) {
   constexpr std::string_view kPrefix = "row {\"index\":";
-  if (line.rfind(kPrefix, 0) != 0) return -1;
-  errno = 0;
-  char* end = nullptr;
-  const char* digits = line.c_str() + kPrefix.size();
-  const long long value = std::strtoll(digits, &end, 10);
-  if (end == digits || errno == ERANGE || value < 0) return -1;
+  long long value = -1;  // from_chars leaves it untouched on failure
+  if (line.rfind(kPrefix, 0) == 0) {
+    std::from_chars(line.data() + kPrefix.size(), line.data() + line.size(), value);
+  }
   return value;
 }
 
 struct UnitHeader {
-  std::size_t origin = 0;
+  int origin = 0;
   int attempt = 1;
-  std::size_t cells = 0;
+  int cells = 0;
   int threads = 0;
 };
 
@@ -99,24 +83,21 @@ UnitHeader ParseUnitHeader(const std::string& line) {
     const std::size_t eq = token.find('=');
     const std::string key = token.substr(0, eq);
     const std::string text = eq == std::string::npos ? "" : token.substr(eq + 1);
-    errno = 0;
-    const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
-    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos ||
-        errno == ERANGE || value > static_cast<unsigned long long>(INT_MAX)) {
-      throw std::runtime_error("bad unit header token '" + token + "'");
-    }
+    const std::optional<std::int64_t> parsed = ParseInt(text, 0, INT_MAX);
+    if (!parsed) throw std::runtime_error("bad unit header token '" + token + "'");
+    const int value = static_cast<int>(*parsed);
     if (key == "origin") {
       header.origin = value;
     } else if (key == "attempt") {
       if (value < 1) {
         throw std::runtime_error("unit header '" + token + "': attempts start at 1");
       }
-      header.attempt = static_cast<int>(value);
+      header.attempt = value;
     } else if (key == "cells") {
       header.cells = value;
       saw_cells = true;
     } else if (key == "threads") {
-      header.threads = static_cast<int>(value);
+      header.threads = value;
     } else {
       throw std::runtime_error("unknown unit header key in '" + token + "'");
     }
@@ -127,14 +108,13 @@ UnitHeader ParseUnitHeader(const std::string& line) {
 
 struct AgentConfig {
   std::string worker_bin;
-  std::string work_dir;
   int threads = 0;
 };
 
 /// Serves one unit on `conn`. Throws on protocol violations and send
 /// failures; the caller answers with `err msg=` when the connection still
 /// works and drops it otherwise.
-void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
+void ServeUnit(Socket& conn, const AgentConfig& config) {
   SendLine(conn, kFabricGreeting);
 
   std::string header_line;
@@ -145,20 +125,16 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
   }
   const UnitHeader header = ParseUnitHeader(header_line);
 
-  std::string shard_body = "# hs-shard v1\n";
-  for (std::size_t i = 0; i < header.cells; ++i) {
+  std::string shard_text = std::string(kShardHeader) + '\n';
+  for (int i = 0; i < header.cells; ++i) {
     std::string cell_line;
     if (conn.RecvLineWithTimeout(10.0, &cell_line) != RecvLineStatus::kLine) {
       throw std::runtime_error("connection ended mid-unit (cell " +
                                std::to_string(i) + " of " +
                                std::to_string(header.cells) + ")");
     }
-    if (cell_line.find('\t') == std::string::npos) {
-      throw std::runtime_error("bad cell line (want '<index>\\t<spec>'): '" +
-                               cell_line + "'");
-    }
-    shard_body += cell_line;
-    shard_body += '\n';
+    shard_text += cell_line;
+    shard_text += '\n';
   }
   std::string end_line;
   if (conn.RecvLineWithTimeout(10.0, &end_line) != RecvLineStatus::kLine ||
@@ -170,19 +146,12 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
   FaultPlan fault = FaultPlanFromEnv();
   if (!fault.ActiveOn(header.attempt)) fault = FaultPlan{};  // healed on retry
 
-  const std::string unit_dir = config.work_dir + "/unit_" + std::to_string(unit_seq);
-  std::filesystem::create_directories(unit_dir);
-  const std::string stem = unit_dir + "/shard";
-  WriteTextFile(stem + ".specs", shard_body);
-
-  std::vector<std::string> argv = {config.worker_bin, "--shard=" + stem + ".specs",
-                                   "--out=/dev/stdout",
-                                   "--attempt=" + std::to_string(header.attempt)};
   const int threads = header.threads > 0 ? header.threads : config.threads;
-  if (threads > 0) argv.push_back("--threads=" + std::to_string(threads));
   int stdout_pipe = -1;
-  Subprocess proc = Subprocess::SpawnPiped(argv, &stdout_pipe, stem + ".stderr");
-  Reaper reaper(proc);
+  // On every exit path (a thrown SendAll included) proc's destructor kills
+  // and reaps a worker that is still running.
+  Subprocess proc =
+      SpawnWorker(config.worker_bin, shard_text, header.attempt, threads, &stdout_pipe);
 
   // Relay the worker's stdout line by line; a torn final row gets its
   // newline here, and the orchestrator's torn-row rule classifies it.
@@ -205,7 +174,7 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
       std::raise(SIGKILL);
     }
     if (global >= 0 && fault.drop_conn_at_cell == global) {
-      return;  // Reaper kills the worker; the orchestrator sees EOF
+      return;  // proc's destructor kills the worker; the orchestrator sees EOF
     }
     if (global >= 0 && fault.torn_frame_at_cell == global) {
       conn.SendAll(std::string_view(line).substr(0, (line.size() + 1) / 2));
@@ -227,12 +196,7 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
     if (conn.PeerClosed()) return;  // closed its stdout, then wedged
   }
 
-  std::string err_text;
-  try {
-    err_text = ReadTextFile(stem + ".stderr");
-  } catch (const std::exception&) {
-  }
-  std::istringstream err_lines(err_text);
+  std::istringstream err_lines(proc.StderrText());
   for (std::string line; std::getline(err_lines, line);) SendLine(conn, "log " + line);
   const ProcessStatus status = proc.Wait();
   if (!status.spawned) {
@@ -244,7 +208,6 @@ void ServeUnit(Socket& conn, const AgentConfig& config, std::size_t unit_seq) {
   } else {
     SendLine(conn, "done exit=" + std::to_string(status.exit_code));
   }
-  if (status.ok()) RemoveTreeBestEffort(unit_dir);
 }
 
 }  // namespace
@@ -255,23 +218,13 @@ int main(int argc, char** argv) {
     const std::int64_t port = args.GetInt("port", 0);
     const std::string port_file = args.GetString("port-file", "");
     AgentConfig config;
-    config.worker_bin = args.GetString("worker-bin", "");
-    config.work_dir = args.GetString("work-dir", "");
+    config.worker_bin = args.GetString("worker-bin", DefaultWorkerCommand());
+    (void)args.Has("work-dir");  // accepted and ignored: no unit writes a file
     config.threads = static_cast<int>(args.GetInt("threads", 0));
     const bool bind_any = args.GetBool("bind-any", false);
     args.RejectUnknown();
     if (port < 0 || port > 65535) {
       throw std::invalid_argument("--port=" + std::to_string(port) + " is not in 0..65535");
-    }
-
-    if (config.worker_bin.empty()) {
-      const std::string dir = SelfExeDir();
-      config.worker_bin = dir.empty() ? std::string("hs_worker") : dir + "/hs_worker";
-    }
-    if (config.work_dir.empty()) {
-      config.work_dir = MakeTempDir("hs-agent-");
-    } else {
-      std::filesystem::create_directories(config.work_dir);
     }
 
     TcpListener listener(static_cast<std::uint16_t>(port), bind_any);
@@ -292,7 +245,7 @@ int main(int argc, char** argv) {
     for (std::size_t unit_seq = 0;; ++unit_seq) {
       Socket conn = listener.Accept();
       try {
-        ServeUnit(conn, config, unit_seq);
+        ServeUnit(conn, config);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "hs_agent: unit %zu failed: %s\n", unit_seq, e.what());
         try {

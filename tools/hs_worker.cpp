@@ -2,15 +2,16 @@
 //
 //   hs_worker --shard=FILE --out=FILE [--threads=N] [--attempt=N]
 //
-// Reads the shard spec file written by ShardedRunner (shard_io.h), runs
-// every cell through the ordinary in-process ExperimentRunner (so trace
-// sharing, validation, and failure semantics are identical to a local
-// run), and writes the `# hs-fabric` frame stream (exp/transport.h) to
-// --out: one `row <JSON row>` frame per completed cell, flushed with the
-// cell, so if this process dies mid-shard every completed row has already
-// left and the orchestrator reports exactly which spec indices were
-// dropped. The fabric passes --out=/dev/stdout and reads the stream from
-// a pipe.
+// Reads a shard text (shard_io.h) from --shard, runs every cell through
+// the ordinary in-process ExperimentRunner (so trace sharing, validation,
+// and failure semantics are identical to a local run), and writes the
+// `# hs-fabric` frame stream (exp/transport.h) to --out: one
+// `row <JSON row>` frame per completed cell, flushed with the cell, so if
+// this process dies mid-shard every completed row has already left and
+// the orchestrator reports exactly which spec indices were dropped. The
+// fabric starts it through SpawnWorker with --shard=/dev/stdin and
+// --out=/dev/stdout: the unit arrives on stdin, the stream leaves on a
+// pipe, and stderr is kept in memory by the parent.
 //
 // Liveness: every completed cell is followed by a heartbeat frame
 // `# hs-progress cell=<global spec index>` (plus one
@@ -24,14 +25,15 @@
 // orchestrator increments per respawn so injected chaos can heal on
 // retry. Production runs simply leave HS_FAULT unset.
 //
-// Exit status: 0 on success; 1 on any error (bad flags, unreadable shard
-// file, failing spec) with the reason on stderr.
+// Exit status: 0 on success; 1 on any error (bad flags, unreadable or
+// malformed shard text, failing spec) with the reason on stderr.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -124,7 +126,9 @@ int main(int argc, char** argv) {
     FaultPlan fault = FaultPlanFromEnv();
     if (!fault.ActiveOn(attempt)) fault = FaultPlan{};  // healed on retry
 
-    const std::vector<IndexedSpec> cells = ReadShardFileAt(shard_path);
+    std::ifstream shard_in(shard_path);
+    if (!shard_in) throw std::runtime_error("cannot open --shard=" + shard_path);
+    const std::vector<IndexedSpec> cells = ReadShardFile(shard_in);
     std::vector<SimSpec> specs;
     std::vector<std::size_t> global_indices;
     specs.reserve(cells.size());
