@@ -293,13 +293,6 @@ std::vector<SimSpec> SeedSweep(const SimSpec& base, int count, std::uint64_t bas
   return specs;
 }
 
-std::vector<SimResult> ResultsOf(const std::vector<SpecResult>& rows) {
-  std::vector<SimResult> results;
-  results.reserve(rows.size());
-  for (const SpecResult& row : rows) results.push_back(row.result);
-  return results;
-}
-
 SimResult MeanResult(const std::vector<SimResult>& results) {
   SimResult mean;
   if (results.empty()) return mean;

@@ -171,9 +171,6 @@ std::string FormatIndexList(const std::vector<std::size_t>& indices,
 /// averaging pattern of every paper experiment.
 std::vector<SimSpec> SeedSweep(const SimSpec& base, int count, std::uint64_t base_seed);
 
-/// Extracts the bare SimResults of `rows`, in order.
-std::vector<SimResult> ResultsOf(const std::vector<SpecResult>& rows);
-
 /// Field-wise arithmetic mean of per-seed results (counters accumulate,
 /// maxima take the max).
 SimResult MeanResult(const std::vector<SimResult>& results);

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+
+#include "util/parse.h"
 
 namespace hs {
 
@@ -17,14 +20,9 @@ int HexDigit(char c) {
 }
 
 std::int64_t ParseInt64(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t parsed = std::stoll(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad integer for '" + key + "': " + value);
-  }
+  const std::optional<std::int64_t> parsed = ParseInt(value);
+  if (!parsed) throw std::invalid_argument("bad integer for '" + key + "': " + value);
+  return *parsed;
 }
 
 std::string WireClassName(JobClass klass) {

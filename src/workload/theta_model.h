@@ -21,7 +21,7 @@ struct ThetaConfig {
   /// baseline near Table II on a one-year horizon (utilization ~83.3%,
   /// instant-start ~22%; average turnaround runs a few hours above the
   /// paper's 15.6 h because the synthetic trace carries longer congestion
-  /// waves — see EXPERIMENTS.md).
+  /// waves — see docs/SCENARIOS.md, Known deviations).
   double target_load = 0.84;
   ProjectModelConfig projects;   // project/size/runtime mixture
 

@@ -60,6 +60,15 @@ TEST(ProtocolTest, RequestRejectsMalformedLines) {
   EXPECT_THROW(req.GetInt("size", 0), std::invalid_argument);
 }
 
+TEST(ProtocolTest, RequestIntegersAreStrict) {
+  // A sign, a leading space (after unescaping) or a doubled relative '+'
+  // must not slip through as a number.
+  EXPECT_THROW(Request::Parse("verb size=+7").GetInt("size", 0), std::invalid_argument);
+  EXPECT_THROW(Request::Parse("verb size=%207").GetInt("size", 0), std::invalid_argument);
+  EXPECT_THROW(Request::Parse("advance to=++5").GetTime("to", 1000, 0),
+               std::invalid_argument);
+}
+
 TEST(ProtocolTest, RejectUnknownCatchesTypos) {
   const Request req = Request::Parse("advance too=100");
   req.GetTime("to", 0, 0);

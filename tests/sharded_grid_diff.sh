@@ -22,4 +22,10 @@ diff grid_single.csv grid_sharded.csv
 "$bin/bench_spec_grid" --quick --preset=burst --digest --out=burst_sharded.csv \
   --strip-wallclock --shards=3 > /dev/null
 diff burst_single.csv burst_sharded.csv
+# A paper sweep through the same fabric: every sweep, not only the grid.
+"$bin/bench_spec_grid" --sweep=fig7 --quick --out=fig7_single.csv \
+  --strip-wallclock > /dev/null
+"$bin/bench_spec_grid" --sweep=fig7 --quick --out=fig7_sharded.csv \
+  --strip-wallclock --shards=3 > /dev/null
+diff fig7_single.csv fig7_sharded.csv
 echo "sharded grids are byte-identical to the single-process grids"
