@@ -37,6 +37,7 @@
 // hang kills, wasted vs useful cell executions, quarantined cells) so
 // retry overhead is visible in the BENCH artifacts.
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -86,8 +87,9 @@ std::vector<Panel> MetricPanels(const std::vector<MetricKind>& kinds) {
 }
 
 struct Sweep;
-/// Extra lines printed from the seed means, cell (r, c) at r * |cols| + c.
-using Report = void (*)(const Sweep& sweep, const std::vector<SimResult>& means);
+/// Extra lines printed from the seed means, cell (r, c) at r * |cols| + c
+/// (`seeds` is there for counters, which MeanResult sums).
+using Report = void (*)(const Sweep& sweep, const std::vector<SimResult>& means, int seeds);
 
 /// A sweep as data. A cell's spec is `spec` with "{row}" and "{col}"
 /// replaced by the axis fragments; every cell averages --seeds traces
@@ -127,18 +129,21 @@ const std::vector<AxisValue> kCheckpointScales = {{"0.25x Daly", "0.25"},
                                                   {"1.00x Daly", "1.00"},
                                                   {"2.00x Daly", "2.00"}};
 
-void Table2Report(const Sweep&, const std::vector<SimResult>& means) {
+void Table2Report(const Sweep&, const std::vector<SimResult>& means, int seeds) {
   const SimResult& mean = means[0];
+  const auto per_run = [seeds](std::size_t total) {
+    return static_cast<double>(total) / static_cast<double>(seeds);
+  };
   std::printf("%s\n", RenderBaselineTable(mean).c_str());
-  std::printf("supporting detail: wait %.1f h | allocated util %.1f%% | "
-              "od jobs %zu | completed %zu | killed %zu\n\n",
-              mean.avg_wait_h, 100.0 * mean.allocated_utilization, mean.od_jobs,
-              mean.jobs_completed, mean.jobs_killed);
+  std::printf("supporting detail (per run): wait %.1f h | allocated util %.1f%% | "
+              "od jobs %.1f | completed %.1f | killed %.1f\n\n",
+              mean.avg_wait_h, 100.0 * mean.allocated_utilization, per_run(mean.od_jobs),
+              per_run(mean.jobs_completed), per_run(mean.jobs_killed));
 }
 
 // Shape checks against the paper's observations, each metric averaged over
 // the notice mixes (rows: baseline then the six mechanisms).
-void Fig6Report(const Sweep& sweep, const std::vector<SimResult>& means) {
+void Fig6Report(const Sweep& sweep, const std::vector<SimResult>& means, int) {
   const std::size_t mixes = sweep.cols.size();
   auto avg_over_workloads = [&](std::size_t row, MetricKind metric) {
     double sum = 0.0;
@@ -200,7 +205,7 @@ void Fig6Report(const Sweep& sweep, const std::vector<SimResult>& means) {
 
 // Obs. 13: the utilization half reproduces directly (dump overhead is
 // counted as job execution); the turnaround half inverts, see the note.
-void Fig7Report(const Sweep& sweep, const std::vector<SimResult>& cell_means) {
+void Fig7Report(const Sweep& sweep, const std::vector<SimResult>& cell_means, int) {
   const std::size_t scales = sweep.cols.size();
   double frequent_tat = 0.0, daly_tat = 0.0, frequent_util = 0.0, daly_util = 0.0;
   for (std::size_t m = 0; m < sweep.rows.size(); ++m) {
@@ -370,18 +375,16 @@ int main(int argc, char** argv) try {
     scale.weeks = 1;
     scale.seeds = 2;
   }
-  scale.weeks = static_cast<int>(args.GetInt("weeks", scale.weeks));
-  scale.seeds = static_cast<int>(args.GetInt("seeds", scale.seeds));
-  const int shards = static_cast<int>(args.GetInt("shards", 0));
-  if (shards < 0) throw std::invalid_argument("--shards must be >= 0");
+  scale.weeks = static_cast<int>(args.GetInt("weeks", scale.weeks, 1, INT_MAX));
+  scale.seeds = static_cast<int>(args.GetInt("seeds", scale.seeds, 1, INT_MAX));
+  const int shards = static_cast<int>(args.GetInt("shards", 0, 0, INT_MAX));
   const std::string hosts = args.GetString("hosts", "");
   const std::string csv_path =
       args.GetString("out", EnvString("HYBRIDSCHED_GRID_CSV", ""));
   const bool strip_wallclock = args.GetBool("strip-wallclock", false);
   const std::string strategy_name = args.GetString("strategy", "cost-weighted");
   const std::string worker_bin = args.GetString("worker-bin", "");
-  const int retries = static_cast<int>(args.GetInt("retries", 0));
-  if (retries < 0) throw std::invalid_argument("--retries must be >= 0");
+  const int retries = static_cast<int>(args.GetInt("retries", 0, 0, INT_MAX));
   const double shard_timeout = args.GetDouble("shard-timeout", 0.0);
   if (shard_timeout < 0) throw std::invalid_argument("--shard-timeout must be >= 0");
   const bool best_effort = args.GetBool("best-effort", false);
@@ -490,7 +493,7 @@ int main(int argc, char** argv) try {
                                          panel.digits, panel.percent)
                             .c_str());
   }
-  if (sweep.report != nullptr) sweep.report(sweep, means);
+  if (sweep.report != nullptr) sweep.report(sweep, means, scale.seeds);
 
   if (digest) std::printf("%s\n", quantiles.Summary().c_str());
   std::printf("ran %zu cells (%zu simulations) in %.1f s (%.2f sims/s)\n",

@@ -1,24 +1,11 @@
 #include "exp/fault_plan.h"
 
+#include <climits>
 #include <cstdlib>
-#include <stdexcept>
 
 #include "util/parse.h"
 
 namespace hs {
-
-namespace {
-
-long long ParseNonNegative(const std::string& token, const std::string& value) {
-  const std::optional<std::int64_t> parsed = ParseInt(value, 0);
-  if (!parsed) {
-    throw std::invalid_argument("fault plan: bad value in '" + token +
-                                "' (want a non-negative integer)");
-  }
-  return *parsed;
-}
-
-}  // namespace
 
 std::string FaultPlan::ToString() const {
   const FaultPlan defaults;
@@ -52,62 +39,30 @@ std::string FaultPlan::ToString() const {
 }
 
 FaultPlan ParseFaultPlan(const std::string& text) {
-  FaultPlan plan;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t semi = text.find(';', pos);
-    const std::string token =
-        text.substr(pos, semi == std::string::npos ? std::string::npos : semi - pos);
-    pos = semi == std::string::npos ? text.size() + 1 : semi + 1;
-    if (token.empty()) continue;
-    const std::size_t eq = token.find('=');
-    const std::string key = token.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : token.substr(eq + 1);
-    const bool has_value = eq != std::string::npos;
-    if (key == "torn-final-line") {
-      if (has_value) {
-        throw std::invalid_argument("fault plan: '" + key + "' takes no value");
-      }
-      plan.torn_final_line = true;
-      continue;
-    }
-    if (!has_value) {
-      throw std::invalid_argument("fault plan: '" + token + "' needs '=<value>'");
-    }
-    if (key == "crash-before-cell") {
-      plan.crash_before_cell = ParseNonNegative(token, value);
-    } else if (key == "hang-at-cell") {
-      plan.hang_at_cell = ParseNonNegative(token, value);
-    } else if (key == "drop-every") {
-      plan.drop_every = static_cast<int>(ParseNonNegative(token, value));
-      if (plan.drop_every == 0) {
-        throw std::invalid_argument("fault plan: drop-every must be >= 1");
-      }
-    } else if (key == "exit-code") {
-      plan.exit_code = static_cast<int>(ParseNonNegative(token, value));
-    } else if (key == "signal") {
-      plan.signal = static_cast<int>(ParseNonNegative(token, value));
-    } else if (key == "drop-conn-at-cell") {
-      plan.drop_conn_at_cell = ParseNonNegative(token, value);
-    } else if (key == "kill-agent-at-cell") {
-      plan.kill_agent_at_cell = ParseNonNegative(token, value);
-    } else if (key == "torn-frame-at-cell") {
-      plan.torn_frame_at_cell = ParseNonNegative(token, value);
-    } else if (key == "stall-at-cell") {
-      plan.stall_at_cell = ParseNonNegative(token, value);
-    } else if (key == "attempts") {
-      plan.attempts = static_cast<int>(ParseNonNegative(token, value));
-      if (plan.attempts == 0) {
-        throw std::invalid_argument("fault plan: attempts must be >= 1");
-      }
-    } else {
-      throw std::invalid_argument(
-          "fault plan: unknown token '" + token +
-          "' (known: crash-before-cell, hang-at-cell, drop-every, exit-code, "
-          "signal, torn-final-line, drop-conn-at-cell, kill-agent-at-cell, "
-          "torn-frame-at-cell, stall-at-cell, attempts)");
-    }
+  KeyValues tokens("fault plan");
+  for (const KvToken& token : Tokenize(text, ';')) {
+    if (!token.text.empty()) tokens.Add(token, /*decode=*/false);
   }
+  const auto cell = [&tokens](const char* key) { return tokens.GetInt(key, -1, 0); };
+  const auto count = [&tokens](const char* key, int def, int min) {
+    return static_cast<int>(tokens.GetInt(key, def, min, INT_MAX));
+  };
+  FaultPlan plan;
+  plan.crash_before_cell = cell("crash-before-cell");
+  plan.hang_at_cell = cell("hang-at-cell");
+  plan.drop_every = count("drop-every", plan.drop_every, 1);
+  plan.exit_code = count("exit-code", plan.exit_code, 0);
+  plan.signal = count("signal", plan.signal, 0);
+  plan.torn_final_line = tokens.GetFlag("torn-final-line");
+  plan.drop_conn_at_cell = cell("drop-conn-at-cell");
+  plan.kill_agent_at_cell = cell("kill-agent-at-cell");
+  plan.torn_frame_at_cell = cell("torn-frame-at-cell");
+  plan.stall_at_cell = cell("stall-at-cell");
+  plan.attempts = count("attempts", plan.attempts, 1);
+  tokens.RejectUnknown(
+      "crash-before-cell, hang-at-cell, drop-every, exit-code, signal, "
+      "torn-final-line, drop-conn-at-cell, kill-agent-at-cell, torn-frame-at-cell, "
+      "stall-at-cell, attempts");
   return plan;
 }
 

@@ -4,7 +4,8 @@
 // chaos is reproducible: the same plan against the same grid injects the
 // same fault at the same cell, in unit tests and CI alike.
 //
-// Grammar — ';'-separated tokens, each `key=value` or a bare flag:
+// Grammar — ';'-separated tokens of util/parse.h's key=value grammar, each
+// `key=value` or a bare flag; a repeated or unknown token is an error:
 //
 //   crash-before-cell=N   die instead of emitting the row for global spec
 //                         index N (exit-code / signal selects how)

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse.h"
+
 namespace hs {
 
 namespace {
@@ -64,22 +66,6 @@ std::vector<std::pair<std::string, std::string>> ResultFields(const SpecResult& 
   fields.emplace_back("decisions", std::to_string(r.decisions));
   fields.emplace_back("makespan_s", std::to_string(r.makespan));
   return fields;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 bool IsNumericField(const std::string& name) {

@@ -1,10 +1,6 @@
 #include "exp/shard_io.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <set>
 #include <stdexcept>
@@ -64,30 +60,6 @@ constexpr CountField kCountFields[] = {
     {"expands", &SimResult::expands},
     {"decisions", &SimResult::decisions},
 };
-
-/// %.17g: enough digits that strtod round-trips every finite double exactly.
-std::string FmtExactDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g", std::numeric_limits<double>::max_digits10,
-                value);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 // --- minimal JSON scanner for worker rows -----------------------------------
 // Handles exactly the shape WriteWorkerRow emits: one flat object whose
@@ -155,7 +127,7 @@ class JsonCursor {
   }
 
   /// The raw characters of a JSON number token (validated by the caller's
-  /// strtod/ParseInt, which must consume all of it).
+  /// ParseDouble/ParseInt, which must consume all of it).
   std::string ParseNumberToken() {
     SkipWs();
     const std::size_t start = pos_;
@@ -184,13 +156,9 @@ class JsonCursor {
 
 double ParseExactDouble(JsonCursor& cur) {
   const std::string token = cur.ParseNumberToken();
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || errno == ERANGE) {
-    cur.Fail("bad double '" + token + "'");
-  }
-  return value;
+  const std::optional<double> value = ParseDouble(token);
+  if (!value) cur.Fail("bad double '" + token + "'");
+  return *value;
 }
 
 std::size_t ParseCount(JsonCursor& cur) {

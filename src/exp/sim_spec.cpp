@@ -1,9 +1,11 @@
 #include "exp/sim_spec.h"
 
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/mechanism.h"
 #include "sched/policy.h"
@@ -12,222 +14,178 @@ namespace hs {
 
 namespace {
 
-// --- strict value parsing ---------------------------------------------------
+// --- override values -------------------------------------------------------
 
-std::int64_t ParseIntValue(const std::string& key, const std::string& value) {
-  std::size_t consumed = 0;
-  std::int64_t parsed = 0;
-  try {
-    parsed = std::stoll(value, &consumed, 10);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed == 0 || consumed != value.size()) {
-    throw std::invalid_argument("override '" + key + "': expected an integer, got '" +
-                                value + "'");
-  }
-  return parsed;
-}
+/// One override value inside the bag it arrived in (a spec string's
+/// segments, CLI flags, or a single SetOverride pair), so a bad value's
+/// error names its token as the caller wrote it (`nodes=+7`, `--load=3`).
+struct OverrideValue {
+  const KeyValues& bag;
+  const std::string& key;
 
-double ParseDoubleValue(const std::string& key, const std::string& value) {
-  std::size_t consumed = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
+  std::int64_t Int(std::int64_t min, std::int64_t max = INT_MAX) const {
+    return bag.GetInt(key, 0, min, max);
   }
-  if (consumed == 0 || consumed != value.size()) {
-    throw std::invalid_argument("override '" + key + "': expected a number, got '" +
-                                value + "'");
+  double Double() const { return bag.GetDouble(key, 0.0); }
+  bool Bool() const { return bag.GetBool(key, false); }
+  std::string String() const { return bag.GetString(key, ""); }
+  void Require(bool ok, const char* constraint) const {
+    if (!ok) bag.Fail(key, constraint);
   }
-  return parsed;
-}
-
-bool ParseBoolValue(const std::string& key, const std::string& value) {
-  if (value == "true" || value == "1" || value == "yes" || value == "on") return true;
-  if (value == "false" || value == "0" || value == "no" || value == "off") return false;
-  throw std::invalid_argument("override '" + key + "': expected a boolean, got '" +
-                              value + "'");
-}
-
-void Require(bool ok, const std::string& key, const char* constraint) {
-  if (!ok) {
-    throw std::invalid_argument("override '" + key + "' " + constraint);
-  }
-}
+};
 
 // --- the override table -----------------------------------------------------
 
 struct OverrideEntry {
   OverrideKey info;
-  /// Applies `value` to whichever target matches info.scenario; the other
+  /// Applies the value to whichever target matches info.scenario; the other
   /// pointer is null. Throws std::invalid_argument on a bad value.
-  std::function<void(const std::string& value, ScenarioConfig*, HybridConfig*)> apply;
+  std::function<void(const OverrideValue& value, ScenarioConfig*, HybridConfig*)> apply;
 };
 
 const std::vector<OverrideEntry>& OverrideTable() {
   static const std::vector<OverrideEntry>* table = [] {
     auto* t = new std::vector<OverrideEntry>;
     const auto scenario = [t](const char* key, const char* help, const char* example,
-                              std::function<void(const std::string&, ScenarioConfig&)> fn) {
+                              std::function<void(const OverrideValue&, ScenarioConfig&)> fn) {
       t->push_back({{key, help, example, true},
-                    [fn = std::move(fn)](const std::string& v, ScenarioConfig* s,
+                    [fn = std::move(fn)](const OverrideValue& v, ScenarioConfig* s,
                                          HybridConfig*) { fn(v, *s); }});
     };
     const auto config = [t](const char* key, const char* help, const char* example,
-                            std::function<void(const std::string&, HybridConfig&)> fn) {
+                            std::function<void(const OverrideValue&, HybridConfig&)> fn) {
       t->push_back({{key, help, example, false},
-                    [fn = std::move(fn)](const std::string& v, ScenarioConfig*,
+                    [fn = std::move(fn)](const OverrideValue& v, ScenarioConfig*,
                                          HybridConfig* c) { fn(v, *c); }});
     };
 
     scenario("nodes", "machine size (also caps the largest job)", "512",
-             [](const std::string& v, ScenarioConfig& s) {
-               const auto nodes = ParseIntValue("nodes", v);
-               Require(nodes > 0, "nodes", "must be > 0");
-               s.theta.num_nodes = static_cast<int>(nodes);
-               s.theta.projects.max_job_size = static_cast<int>(nodes);
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const int nodes = static_cast<int>(v.Int(1));
+               s.theta.num_nodes = nodes;
+               s.theta.projects.max_job_size = nodes;
              });
     scenario("projects", "number of projects in the synthetic workload", "32",
-             [](const std::string& v, ScenarioConfig& s) {
-               const auto n = ParseIntValue("projects", v);
-               Require(n > 0, "projects", "must be > 0");
-               s.theta.projects.num_projects = static_cast<int>(n);
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               s.theta.projects.num_projects = static_cast<int>(v.Int(1));
              });
     scenario("load", "offered-load calibration target", "0.8",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double load = ParseDoubleValue("load", v);
-               Require(load > 0.0 && load <= 2.0, "load", "must be in (0, 2]");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double load = v.Double();
+               v.Require(load > 0.0 && load <= 2.0, "must be in (0, 2]");
                s.theta.target_load = load;
              });
     scenario("od_share", "share of projects submitting on-demand jobs", "0.25",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double share = ParseDoubleValue("od_share", v);
-               Require(share >= 0.0 && share <= 1.0, "od_share", "must be in [0, 1]");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double share = v.Double();
+               v.Require(share >= 0.0 && share <= 1.0, "must be in [0, 1]");
                s.types.on_demand_project_share = share;
              });
     scenario("rigid_share", "share of projects submitting rigid jobs", "0.5",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double share = ParseDoubleValue("rigid_share", v);
-               Require(share >= 0.0 && share <= 1.0, "rigid_share", "must be in [0, 1]");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double share = v.Double();
+               v.Require(share >= 0.0 && share <= 1.0, "must be in [0, 1]");
                s.types.rigid_project_share = share;
              });
     scenario("malleable_min", "malleable minimum size as a fraction of the request", "0.5",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double frac = ParseDoubleValue("malleable_min", v);
-               Require(frac > 0.0 && frac <= 1.0, "malleable_min", "must be in (0, 1]");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double frac = v.Double();
+               v.Require(frac > 0.0 && frac <= 1.0, "must be in (0, 1]");
                s.types.malleable_min_frac = frac;
              });
 
     config("ckpt_scale", "checkpoint interval as a multiple of the Daly optimum", "0.5",
-           [](const std::string& v, HybridConfig& c) {
-             const double scale = ParseDoubleValue("ckpt_scale", v);
-             Require(scale > 0.0, "ckpt_scale", "must be > 0");
+           [](const OverrideValue& v, HybridConfig& c) {
+             const double scale = v.Double();
+             v.Require(scale > 0.0, "must be > 0");
              c.engine.checkpoint.interval_scale = scale;
            });
     config("warning", "malleable drain warning, seconds", "120",
-           [](const std::string& v, HybridConfig& c) {
-             const auto seconds = ParseIntValue("warning", v);
-             Require(seconds >= 0, "warning", "must be >= 0");
-             c.engine.drain_warning = seconds;
+           [](const OverrideValue& v, HybridConfig& c) {
+             c.engine.drain_warning = v.Int(0, kNever);
            });
     config("backfill", "backfill jobs onto reserved nodes (bool)", "true",
-           [](const std::string& v, HybridConfig& c) {
-             c.backfill_on_reserved = ParseBoolValue("backfill", v);
-           });
+           [](const OverrideValue& v, HybridConfig& c) { c.backfill_on_reserved = v.Bool(); });
     config("expand", "opportunistically expand malleable jobs (bool)", "false",
-           [](const std::string& v, HybridConfig& c) {
-             c.opportunistic_expand = ParseBoolValue("expand", v);
+           [](const OverrideValue& v, HybridConfig& c) {
+             c.opportunistic_expand = v.Bool();
            });
     config("hold", "hold returned nodes for preempted lenders (bool)", "true",
-           [](const std::string& v, HybridConfig& c) {
-             c.hold_returned_nodes = ParseBoolValue("hold", v);
-           });
+           [](const OverrideValue& v, HybridConfig& c) { c.hold_returned_nodes = v.Bool(); });
     config("partition", "static on-demand partition size, nodes (0 = off)", "256",
-           [](const std::string& v, HybridConfig& c) {
-             const auto nodes = ParseIntValue("partition", v);
-             Require(nodes >= 0, "partition", "must be >= 0");
-             c.static_od_partition = static_cast<int>(nodes);
+           [](const OverrideValue& v, HybridConfig& c) {
+             c.static_od_partition = static_cast<int>(v.Int(0));
            });
     config("timeout", "reservation timeout after the predicted arrival, seconds", "300",
-           [](const std::string& v, HybridConfig& c) {
-             const auto seconds = ParseIntValue("timeout", v);
-             Require(seconds >= 0, "timeout", "must be >= 0");
-             c.reservation_timeout = seconds;
+           [](const OverrideValue& v, HybridConfig& c) {
+             c.reservation_timeout = v.Int(0, kNever);
            });
     config("instant", "instant-start threshold, seconds", "60",
-           [](const std::string& v, HybridConfig& c) {
-             const auto seconds = ParseIntValue("instant", v);
-             Require(seconds >= 0, "instant", "must be >= 0");
-             c.instant_threshold = seconds;
+           [](const OverrideValue& v, HybridConfig& c) {
+             c.instant_threshold = v.Int(0, kNever);
            });
     scenario("swf", "SWF trace file to replay (preset=swf; '/' written as %2F in specs)", "/data/theta.swf",
-             [](const std::string& v, ScenarioConfig& s) {
-               Require(!v.empty(), "swf", "must be a file path");
-               s.swf_path = v;
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               s.swf_path = v.String();
+               v.Require(!s.swf_path.empty(), "must be a file path");
              });
     config("failures", "inject hardware failures (bool)", "true",
-           [](const std::string& v, HybridConfig& c) {
-             c.engine.inject_failures = ParseBoolValue("failures", v);
+           [](const OverrideValue& v, HybridConfig& c) {
+             c.engine.inject_failures = v.Bool();
            });
     config("mtbf_days", "per-node mean time between failures, days", "7.5",
-           [](const std::string& v, HybridConfig& c) {
-             const double days = ParseDoubleValue("mtbf_days", v);
-             Require(days > 0.0, "mtbf_days", "must be > 0");
+           [](const OverrideValue& v, HybridConfig& c) {
+             const double days = v.Double();
+             // The bound keeps days * kDay inside the simulated clock.
+             v.Require(days > 0.0 && days <= 1e9, "must be in (0, 1e9]");
              c.engine.failure_node_mtbf = static_cast<SimTime>(days * kDay);
            });
     // Workload-generator knobs (workload/generators.h): modulators compose
     // with any preset, so these are plain scenario keys — `preset=burst`
     // merely changes their defaults.
     scenario("burst_mult", "storm arrival-rate multiplier (1 = no storms)", "6",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double mult = ParseDoubleValue("burst_mult", v);
-               Require(mult >= 1.0, "burst_mult", "must be >= 1");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double mult = v.Double();
+               v.Require(mult >= 1.0, "must be >= 1");
                s.gen.burst.mult = mult;
              });
     scenario("burst_period_h", "mean storm-free gap between storm windows, hours", "12",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double hours = ParseDoubleValue("burst_period_h", v);
-               Require(hours > 0.0, "burst_period_h", "must be > 0");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double hours = v.Double();
+               v.Require(hours > 0.0, "must be > 0");
                s.gen.burst.period = static_cast<SimTime>(std::llround(hours * kHour));
              });
     scenario("burst_len_h", "storm window length, hours", "1",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double hours = ParseDoubleValue("burst_len_h", v);
-               Require(hours > 0.0, "burst_len_h", "must be > 0");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double hours = v.Double();
+               v.Require(hours > 0.0, "must be > 0");
                s.gen.burst.duration = static_cast<SimTime>(std::llround(hours * kHour));
              });
     scenario("diurnal_amp", "diurnal/weekly cycle modulation depth", "0.9",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double amp = ParseDoubleValue("diurnal_amp", v);
-               Require(amp >= 0.0 && amp < 1.0, "diurnal_amp", "must be in [0, 1)");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double amp = v.Double();
+               v.Require(amp >= 0.0 && amp < 1.0, "must be in [0, 1)");
                s.gen.diurnal.amplitude = amp;
              });
     scenario("weekend_factor", "weekend arrival damping factor", "0.4",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double factor = ParseDoubleValue("weekend_factor", v);
-               Require(factor > 0.0 && factor <= 1.0, "weekend_factor",
-                       "must be in (0, 1]");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double factor = v.Double();
+               v.Require(factor > 0.0 && factor <= 1.0, "must be in (0, 1]");
                s.gen.diurnal.weekend_factor = factor;
              });
     scenario("ai_frac", "AI-task share of total offered demand", "0.3",
-             [](const std::string& v, ScenarioConfig& s) {
-               const double frac = ParseDoubleValue("ai_frac", v);
-               Require(frac >= 0.0 && frac < 1.0, "ai_frac", "must be in [0, 1)");
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               const double frac = v.Double();
+               v.Require(frac >= 0.0 && frac < 1.0, "must be in [0, 1)");
                s.gen.ai.frac = frac;
              });
     scenario("ai_swarm", "tasks per AI swarm", "48",
-             [](const std::string& v, ScenarioConfig& s) {
-               const auto tasks = ParseIntValue("ai_swarm", v);
-               Require(tasks >= 1, "ai_swarm", "must be >= 1");
-               s.gen.ai.swarm = static_cast<int>(tasks);
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               s.gen.ai.swarm = static_cast<int>(v.Int(1));
              });
     scenario("ai_size", "largest AI task, nodes", "256",
-             [](const std::string& v, ScenarioConfig& s) {
-               const auto nodes = ParseIntValue("ai_size", v);
-               Require(nodes >= 1, "ai_size", "must be >= 1");
-               s.gen.ai.max_size = static_cast<int>(nodes);
+             [](const OverrideValue& v, ScenarioConfig& s) {
+               s.gen.ai.max_size = static_cast<int>(v.Int(1));
              });
     return t;
   }();
@@ -265,57 +223,26 @@ std::string CanonicalMixName(const std::string& name) {
   }
 }
 
-int ParseWeeksValue(const std::string& value) {
-  const auto weeks = ParseIntValue("weeks", value);
-  if (weeks < 1) throw std::invalid_argument("weeks must be >= 1, got " + value);
-  return static_cast<int>(weeks);
+/// Spec-string values are percent-escaped (util/parse.h): '/' as %2F and
+/// '%' as %25. Encoding is the identity for every value without those
+/// characters, keeping existing specs byte-stable.
+constexpr std::string_view kSpecEscapes = "/";
+
+/// Validates `key`'s value in `values` against scratch targets (so a bad
+/// spec fails at parse time, not mid-experiment) and stores its spelling.
+void ApplyOverride(SimSpec& spec, const KeyValues& values, const std::string& key) {
+  const OverrideEntry& entry = FindOverride(key);
+  ScenarioConfig scratch_scenario;
+  HybridConfig scratch_config;
+  entry.apply(OverrideValue{values, key}, &scratch_scenario, &scratch_config);
+  spec.overrides[key] = values.GetString(key, "");
 }
 
-std::uint64_t ParseSeedValue(const std::string& value) {
-  const auto seed = ParseIntValue("seed", value);
-  if (seed < 0) throw std::invalid_argument("seed must be >= 0, got " + value);
-  return static_cast<std::uint64_t>(seed);
-}
-
-// Override values live inside '/'-separated spec strings, so a literal '/'
-// (file paths) is written %2F and a literal '%' as %25. Encoding is the
-// identity for every value without those characters, keeping existing specs
-// byte-stable.
-std::string EncodeOverrideValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    if (c == '%') {
-      out += "%25";
-    } else if (c == '/') {
-      out += "%2F";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string DecodeOverrideValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    if (value[i] == '%' && i + 2 < value.size()) {
-      const std::string code = value.substr(i + 1, 2);
-      if (code == "2F" || code == "2f") {
-        out += '/';
-        i += 2;
-        continue;
-      }
-      if (code == "25") {
-        out += '%';
-        i += 2;
-        continue;
-      }
-    }
-    out += value[i];
-  }
-  return out;
+/// The stored overrides as a bag, for materializing them.
+KeyValues OverrideBag(const std::map<std::string, std::string>& overrides) {
+  KeyValues bag;
+  for (const auto& [key, value] : overrides) bag.Add(key, value, key + "=" + value);
+  return bag;
 }
 
 std::string Trimmed(const std::string& text) {
@@ -354,7 +281,7 @@ std::string SimSpec::ToString() const {
   if (weeks != 1) out += "/weeks=" + std::to_string(weeks);
   if (seed != 1) out += "/seed=" + std::to_string(seed);
   for (const auto& [key, value] : overrides) {
-    out += "/" + key + "=" + EncodeOverrideValue(value);
+    out += "/" + key + "=" + PercentEncode(value, kSpecEscapes);
   }
   return out;
 }
@@ -363,64 +290,48 @@ SimSpec SimSpec::Parse(const std::string& text) {
   const std::string trimmed = Trimmed(text);
   if (trimmed.empty()) throw std::invalid_argument("empty spec");
 
-  std::vector<std::string> tokens;
-  std::string rest = trimmed;
+  SimSpec spec;
+  std::size_t positional = 0;
+  std::string_view rest = trimmed;
   // The baseline's display name "FCFS/EASY" contains the segment separator;
   // accept it as the leading mechanism token.
   if (IEqualsPrefix(trimmed, "FCFS/EASY")) {
-    tokens.push_back("baseline");
-    rest = trimmed.size() > 9 ? trimmed.substr(10) : "";
-    if (trimmed.size() > 9 && rest.empty()) {
+    spec.mechanism = "baseline";
+    positional = 1;
+    if (rest.size() == 9) return spec;
+    rest.remove_prefix(10);
+  }
+  KeyValues values;
+  for (const KvToken& token : Tokenize(rest, '/')) {
+    if (token.text.empty()) {
       throw std::invalid_argument("empty segment in spec '" + trimmed + "'");
     }
-  }
-  std::size_t start = 0;
-  while (start <= rest.size() && !rest.empty()) {
-    const std::size_t slash = rest.find('/', start);
-    const std::string token =
-        rest.substr(start, slash == std::string::npos ? std::string::npos : slash - start);
-    tokens.push_back(token);
-    if (slash == std::string::npos) break;
-    start = slash + 1;
-  }
-
-  SimSpec spec;
-  std::size_t positional = 0;
-  bool saw_key_value = false;
-  for (const std::string& token : tokens) {
-    if (token.empty()) {
-      throw std::invalid_argument("empty segment in spec '" + trimmed + "'");
-    }
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      if (saw_key_value) {
-        throw std::invalid_argument("positional segment '" + token +
-                                    "' after key=value segments in '" + trimmed + "'");
-      }
-      switch (positional++) {
-        case 0: spec.mechanism = CanonicalMechanismName(token); break;
-        case 1: spec.policy = PolicyRegistry().Canonical(token); break;
-        case 2: spec.notice_mix = CanonicalMixName(token); break;
-        default:
-          throw std::invalid_argument("too many positional segments in spec '" +
-                                      trimmed + "' (expected mechanism/policy/mix)");
-      }
+    if (token.kind == KvToken::Kind::kKeyValue) {
+      values.Add(token, /*decode=*/true);
       continue;
     }
-    saw_key_value = true;
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "preset") {
-      spec.preset = ScenarioRegistry().Canonical(value);
-    } else if (key == "weeks") {
-      spec.weeks = ParseWeeksValue(value);
-    } else if (key == "seed") {
-      spec.seed = ParseSeedValue(value);
-    } else {
-      // Spec strings carry '/'-escaped values ('%2F'); CLI flags and direct
-      // SetOverride calls stay verbatim. Values are stored decoded and
-      // ToString re-encodes, so Parse(ToString()) round-trips.
-      spec.SetOverride(key, DecodeOverrideValue(value));
+    const std::string name(token.text);
+    if (!values.entries().empty()) {
+      throw std::invalid_argument("positional segment '" + name +
+                                  "' after key=value segments in '" + trimmed + "'");
+    }
+    switch (positional++) {
+      case 0: spec.mechanism = CanonicalMechanismName(name); break;
+      case 1: spec.policy = PolicyRegistry().Canonical(name); break;
+      case 2: spec.notice_mix = CanonicalMixName(name); break;
+      default:
+        throw std::invalid_argument("too many positional segments in spec '" + trimmed +
+                                    "' (expected mechanism/policy/mix)");
+    }
+  }
+  if (values.Has("preset")) {
+    spec.preset = ScenarioRegistry().Canonical(values.GetString("preset", ""));
+  }
+  spec.weeks = static_cast<int>(values.GetInt("weeks", spec.weeks, 1, INT_MAX));
+  spec.seed = static_cast<std::uint64_t>(values.GetInt("seed", 1, 0));
+  for (const KeyValues::Entry& entry : values.entries()) {
+    if (entry.key != "preset" && entry.key != "weeks" && entry.key != "seed") {
+      ApplyOverride(spec, values, entry.key);
     }
   }
   return spec;
@@ -441,22 +352,19 @@ SimSpec SimSpec::FromCli(const CliArgs& args) {
   if (args.Has("preset")) {
     spec.preset = ScenarioRegistry().Canonical(args.GetString("preset", spec.preset));
   }
-  if (args.Has("weeks")) spec.weeks = ParseWeeksValue(args.GetString("weeks", "1"));
-  if (args.Has("seed")) spec.seed = ParseSeedValue(args.GetString("seed", "1"));
+  spec.weeks = static_cast<int>(args.GetInt("weeks", spec.weeks, 1, INT_MAX));
+  spec.seed = static_cast<std::uint64_t>(
+      args.GetInt("seed", static_cast<std::int64_t>(spec.seed), 0));
   for (const OverrideKey& key : KnownOverrides()) {
-    if (args.Has(key.key)) spec.SetOverride(key.key, args.GetString(key.key, ""));
+    if (args.Has(key.key)) ApplyOverride(spec, args, key.key);
   }
   return spec;
 }
 
 void SimSpec::SetOverride(const std::string& key, const std::string& value) {
-  const OverrideEntry& entry = FindOverride(key);
-  // Validate the value eagerly against scratch targets so bad specs fail at
-  // parse time, not mid-experiment.
-  ScenarioConfig scratch_scenario;
-  HybridConfig scratch_config;
-  entry.apply(value, &scratch_scenario, &scratch_config);
-  overrides[key] = value;
+  KeyValues values;
+  values.Add(key, value, key + "=" + value);
+  ApplyOverride(*this, values, key);
 }
 
 std::string SimSpec::Validate() const {
@@ -478,9 +386,10 @@ std::string SimSpec::Validate() const {
 
 ScenarioConfig SimSpec::BuildScenario() const {
   ScenarioConfig scenario = MakeScenario(preset, weeks, CanonicalMixName(notice_mix));
+  const KeyValues values = OverrideBag(overrides);
   for (const auto& [key, value] : overrides) {
     const OverrideEntry& entry = FindOverride(key);
-    if (entry.info.scenario) entry.apply(value, &scenario, nullptr);
+    if (entry.info.scenario) entry.apply(OverrideValue{values, key}, &scenario, nullptr);
   }
   const std::string error = ValidateScenario(scenario);
   if (!error.empty()) throw std::invalid_argument(error);
@@ -490,9 +399,10 @@ ScenarioConfig SimSpec::BuildScenario() const {
 HybridConfig SimSpec::BuildConfig() const {
   HybridConfig config = MakePaperConfig(ParseMechanism(mechanism));
   config.engine.policy = PolicyRegistry().Canonical(policy);
+  const KeyValues values = OverrideBag(overrides);
   for (const auto& [key, value] : overrides) {
     const OverrideEntry& entry = FindOverride(key);
-    if (!entry.info.scenario) entry.apply(value, nullptr, &config);
+    if (!entry.info.scenario) entry.apply(OverrideValue{values, key}, nullptr, &config);
   }
   return config;
 }

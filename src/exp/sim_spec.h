@@ -17,12 +17,13 @@
 //
 // The first three segments are positional (later ones may be omitted and
 // default); every 'key=value' segment is either a field (preset, weeks,
-// seed) or a registered config override (see KnownOverrides()). Override
-// values containing '/' (file paths) are written %2F ('%' as %25) inside
-// spec strings; CLI flags and SetOverride also accept them verbatim.
-// Parsing is strict: unknown mechanisms/policies/presets/mixes/keys and
-// malformed values throw std::invalid_argument, and
-// Parse(spec.ToString()) == spec.
+// seed) or a registered config override (see KnownOverrides()). Segments
+// follow the one key=value grammar of util/parse.h: values are
+// percent-escaped ('/' as %2F, '%' as %25; Parse decodes any %XX as the
+// wire does), while CLI flags and SetOverride take them verbatim.
+// Parsing is strict: unknown mechanisms/policies/presets/mixes/keys,
+// repeated keys and malformed values throw std::invalid_argument naming
+// the token, and Parse(spec.ToString()) == spec.
 #pragma once
 
 #include <cstdint>

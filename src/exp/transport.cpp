@@ -1,6 +1,7 @@
 #include "exp/transport.h"
 
 #include <algorithm>
+#include <climits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -142,12 +143,8 @@ void FrameReader::TakeRows(const std::string& source, TransportOutcome& outcome)
 
 std::vector<HostEndpoint> ParseHostList(const std::string& hosts) {
   std::vector<HostEndpoint> out;
-  std::size_t pos = 0;
-  while (pos <= hosts.size()) {
-    const std::size_t comma = hosts.find(',', pos);
-    std::string entry = hosts.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    pos = comma == std::string::npos ? hosts.size() + 1 : comma + 1;
+  for (const KvToken& part : Tokenize(hosts, ',')) {
+    std::string entry(part.text);
     while (!entry.empty() && entry.front() == ' ') entry.erase(entry.begin());
     while (!entry.empty() && entry.back() == ' ') entry.pop_back();
     if (entry.empty()) {
@@ -168,6 +165,35 @@ std::vector<HostEndpoint> ParseHostList(const std::string& hosts) {
                                static_cast<std::uint16_t>(*port)});
   }
   return out;
+}
+
+// --- unit header ---------------------------------------------------------------
+
+std::string FormatUnitHeader(const UnitHeader& header) {
+  std::string line = "unit origin=" + std::to_string(header.origin) +
+                     " attempt=" + std::to_string(header.attempt) +
+                     " cells=" + std::to_string(header.cells);
+  if (header.threads > 0) line += " threads=" + std::to_string(header.threads);
+  return line;
+}
+
+UnitHeader ParseUnitHeader(const std::string& line) {
+  const std::vector<KvToken> tokens = Tokenize(line, ' ');
+  if (tokens.front().text != "unit") {
+    throw std::invalid_argument("expected 'unit ...' header, got '" + line + "'");
+  }
+  KeyValues values("unit header");
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    if (!tokens[i].text.empty()) values.Add(tokens[i], /*decode=*/false);
+  }
+  UnitHeader header;
+  header.origin = static_cast<int>(values.GetInt("origin", header.origin, 0, INT_MAX));
+  header.attempt = static_cast<int>(values.GetInt("attempt", header.attempt, 1, INT_MAX));
+  header.cells = static_cast<int>(values.GetInt("cells", -1, 0, INT_MAX));
+  header.threads = static_cast<int>(values.GetInt("threads", header.threads, 0, INT_MAX));
+  values.RejectUnknown("origin, attempt, cells, threads");
+  if (header.cells < 0) throw std::invalid_argument("unit header missing cells=");
+  return header;
 }
 
 // --- worker spawn ------------------------------------------------------------
@@ -325,10 +351,9 @@ std::unique_ptr<TransportTask> TcpTransport::Launch(
                                "' (agent version skew?)");
     }
     std::ostringstream message;
-    message << "unit origin=" << origin_shard << " attempt=" << attempt
-            << " cells=" << indices.size();
-    if (options_.worker_threads > 0) message << " threads=" << options_.worker_threads;
-    message << '\n';
+    message << FormatUnitHeader({static_cast<int>(origin_shard), attempt,
+                                 static_cast<int>(indices.size()), options_.worker_threads})
+            << '\n';
     WriteShardCells(message, indices, specs);
     message << "end\n";
     sock.SendAll(message.str());

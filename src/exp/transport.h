@@ -168,6 +168,24 @@ struct HostEndpoint {
 /// Throws std::invalid_argument naming the offending entry.
 std::vector<HostEndpoint> ParseHostList(const std::string& hosts);
 
+/// The `unit` frame's header line, the one piece of the orchestrator's side
+/// of `# hs-fabric v1` that is not a shard cell line.
+struct UnitHeader {
+  int origin = 0;   // the unit's original shard
+  int attempt = 1;  // 1-based try number (gates HS_FAULT)
+  int cells = 0;    // cell lines that follow
+  int threads = 0;  // the worker's --threads when > 0
+};
+
+/// "unit origin=K attempt=N cells=M[ threads=T]" (threads only when > 0).
+std::string FormatUnitHeader(const UnitHeader& header);
+
+/// Parses FormatUnitHeader's line with the key=value grammar of
+/// util/parse.h: every value a plain decimal that fits an int, attempt
+/// >= 1, cells= required. Throws std::invalid_argument naming the
+/// offending token.
+UnitHeader ParseUnitHeader(const std::string& line);
+
 /// Starts `worker_bin --shard=/dev/stdin --out=/dev/stdout --attempt=N
 /// [--threads=T if > 0]` with `shard_text` (shard_io.h) on stdin, its frame
 /// stream on `*stdout_pipe` and its stderr in memory (StderrText). Both

@@ -1,29 +1,11 @@
 #include "service/protocol.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <limits>
-#include <optional>
+#include <climits>
 #include <stdexcept>
-
-#include "util/parse.h"
 
 namespace hs {
 
 namespace {
-
-int HexDigit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-std::int64_t ParseInt64(const std::string& key, const std::string& value) {
-  const std::optional<std::int64_t> parsed = ParseInt(value);
-  if (!parsed) throw std::invalid_argument("bad integer for '" + key + "': " + value);
-  return *parsed;
-}
 
 std::string WireClassName(JobClass klass) {
   switch (klass) {
@@ -42,127 +24,35 @@ JobClass ParseWireClass(const std::string& name) {
                               "' (rigid|od|malleable)");
 }
 
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t space = line.find(' ', pos);
-    const std::size_t end = space == std::string::npos ? line.size() : space;
-    if (end > pos) tokens.push_back(line.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  return tokens;
-}
-
 }  // namespace
 
-std::string EscapeField(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    if (c == ' ') {
-      out += "%20";
-    } else if (c == '%') {
-      out += "%25";
-    } else if (c == '\n') {
-      out += "%0A";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeField(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    if (value[i] == '%') {
-      if (i + 2 >= value.size()) {
-        throw std::invalid_argument("truncated %-escape in '" + value + "'");
-      }
-      const int hi = HexDigit(value[i + 1]);
-      const int lo = HexDigit(value[i + 2]);
-      if (hi < 0 || lo < 0) {
-        throw std::invalid_argument("bad %-escape in '" + value + "'");
-      }
-      out += static_cast<char>(hi * 16 + lo);
-      i += 2;
-    } else {
-      out += value[i];
-    }
-  }
-  return out;
-}
-
-std::string FmtExactDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g",
-                std::numeric_limits<double>::max_digits10, value);
-  return buf;
-}
-
 Request Request::Parse(const std::string& line) {
-  const std::vector<std::string> tokens = SplitTokens(line);
-  if (tokens.empty()) throw std::invalid_argument("empty request line");
   Request req;
-  req.verb_ = tokens[0];
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("argument '" + tokens[i] +
+  for (const KvToken& token : Tokenize(line, ' ')) {
+    if (token.text.empty()) continue;
+    if (req.verb_.empty()) {
+      req.verb_ = token.text;
+    } else if (token.kind != KvToken::Kind::kKeyValue) {
+      throw std::invalid_argument("argument '" + std::string(token.text) +
                                   "' is not key=value");
+    } else {
+      req.Add(token, /*decode=*/true);
     }
-    req.args_.emplace_back(tokens[i].substr(0, eq),
-                           UnescapeField(tokens[i].substr(eq + 1)));
   }
+  if (req.verb_.empty()) throw std::invalid_argument("empty request line");
   return req;
 }
 
-bool Request::Has(const std::string& key) const {
-  recognized_.push_back(key);
-  for (const auto& [k, v] : args_) {
-    if (k == key) return true;
-  }
-  return false;
-}
-
-std::string Request::GetString(const std::string& key, const std::string& def) const {
-  recognized_.push_back(key);
-  for (const auto& [k, v] : args_) {
-    if (k == key) return v;
-  }
-  return def;
-}
-
-std::int64_t Request::GetInt(const std::string& key, std::int64_t def) const {
-  recognized_.push_back(key);
-  for (const auto& [k, v] : args_) {
-    if (k == key) return ParseInt64(key, v);
-  }
-  return def;
-}
-
 SimTime Request::GetTime(const std::string& key, SimTime now, SimTime def) const {
-  recognized_.push_back(key);
-  for (const auto& [k, v] : args_) {
-    if (k != key) continue;
-    if (!v.empty() && v[0] == '+') {
-      return now + ParseInt64(key, v.substr(1));
-    }
-    return ParseInt64(key, v);
+  if (!Has(key)) return def;
+  const std::string text = GetString(key, "");
+  if (text.empty() || text[0] != '+') return GetInt(key, def);
+  const std::optional<std::int64_t> offset = ParseInt(std::string_view(text).substr(1));
+  SimTime at = 0;
+  if (!offset || __builtin_add_overflow(now, *offset, &at)) {
+    Fail(key, "want a time: seconds, or +D from now");
   }
-  return def;
-}
-
-void Request::RejectUnknown() const {
-  for (const auto& [k, v] : args_) {
-    if (std::find(recognized_.begin(), recognized_.end(), k) ==
-        recognized_.end()) {
-      throw std::invalid_argument("unknown argument '" + k + "' for verb '" +
-                                  verb_ + "'");
-    }
-  }
+  return at;
 }
 
 std::string FormatRequest(
@@ -199,14 +89,17 @@ std::string FormatJobFields(const JobRecord& job, bool with_id) {
 JobRecord ParseJobFields(const Request& req, SimTime now) {
   JobRecord job;
   job.klass = ParseWireClass(req.GetString("class", "rigid"));
-  job.size = static_cast<int>(req.GetInt("size", 0));
-  job.min_size = static_cast<int>(req.GetInt("min", job.size));
+  job.size = static_cast<int>(req.GetInt("size", 0, INT_MIN, INT_MAX));
+  job.min_size = static_cast<int>(req.GetInt("min", job.size, INT_MIN, INT_MAX));
   job.submit_time = req.GetTime("submit", now, now + 1);
   job.compute_time = req.GetTime("compute", 0, 0);
   job.estimate = req.GetTime("estimate", 0, 0);
   job.setup_time = req.GetTime("setup", 0, 0);
-  job.project = static_cast<std::int32_t>(req.GetInt("project", -1));
-  if (job.estimate == 0) job.estimate = job.setup_time + job.compute_time;
+  job.project = static_cast<std::int32_t>(req.GetInt("project", -1, INT32_MIN, INT32_MAX));
+  if (job.estimate == 0 &&
+      __builtin_add_overflow(job.setup_time, job.compute_time, &job.estimate)) {
+    throw std::invalid_argument("setup= plus compute= overflows the clock");
+  }
   const bool has_notice = req.Has("notice");
   const bool has_predicted = req.Has("predicted");
   if (has_notice != has_predicted) {

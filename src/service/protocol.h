@@ -3,7 +3,9 @@
 // Same family as the `# hs-shard v1` formats (exp/shard_io.h): every
 // message is one line of space-separated tokens, the first being the verb
 // (requests) or status (responses), the rest `key=value` pairs with values
-// percent-escaped (space -> %20, '%' -> %25, newline -> %0A). Doubles are
+// percent-escaped (space -> %20, '%' -> %25, newline -> %0A). Requests are
+// read with the one key=value grammar of util/parse.h: strict integers, no
+// repeated keys, errors that name the token as sent. Doubles are
 // printed with 17 significant digits so they round-trip bit-exactly —
 // byte-determinism of responses is part of the contract (tested against
 // the batch-run oracle).
@@ -26,9 +28,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "util/parse.h"
 #include "util/time.h"
 #include "workload/job.h"
 
@@ -38,34 +42,27 @@ namespace hs {
 /// snapshot files open with it.
 inline constexpr const char* kWireGreeting = "# hs-session v1";
 
-std::string EscapeField(const std::string& value);
-std::string UnescapeField(const std::string& value);
+/// The wire's percent codec: ' ', '%' and newline travel as %20, %25, %0A.
+inline std::string EscapeField(std::string_view value) { return PercentEncode(value, " \n"); }
+inline std::string UnescapeField(std::string_view value) { return PercentDecode(value); }
 
-/// %.17g — every finite double round-trips through strtod bit-exactly.
-std::string FmtExactDouble(double value);
-
-/// One parsed request line: the verb plus key=value arguments in wire
-/// order. Get* helpers throw std::invalid_argument on malformed values and
-/// record the key as recognized; call RejectUnknown() after reading all
-/// args so a typo'd key fails loudly instead of defaulting.
-class Request {
+/// One parsed request line: the verb plus the key=value bag (util/parse.h)
+/// in wire order, values unescaped. The getters throw std::invalid_argument
+/// naming the token on malformed values and mark the key as read; call
+/// RejectUnknown() after reading all args so a typo'd key fails loudly
+/// instead of defaulting. A repeated key is an error.
+class Request : public KeyValues {
  public:
   /// Parses `verb key=value ...`; throws std::invalid_argument on an empty
-  /// line or an argument without '='.
+  /// line, an argument without '=', a bad escape or a repeated key.
   static Request Parse(const std::string& line);
 
   const std::string& verb() const { return verb_; }
-  bool Has(const std::string& key) const;
-  std::string GetString(const std::string& key, const std::string& def) const;
-  std::int64_t GetInt(const std::string& key, std::int64_t def) const;
   /// A time argument: absolute seconds, or '+D' meaning `now + D`.
   SimTime GetTime(const std::string& key, SimTime now, SimTime def) const;
-  void RejectUnknown() const;
 
  private:
   std::string verb_;
-  std::vector<std::pair<std::string, std::string>> args_;
-  mutable std::vector<std::string> recognized_;
 };
 
 /// Formats `verb key=value ...` with values escaped (the client side).

@@ -32,21 +32,6 @@ const char* StateName(ServiceSession::JobState state) {
   return "unknown";
 }
 
-/// Splits on ',' keeping empty segments, so "a,,b" surfaces the empty token
-/// as an error instead of silently dropping it.
-std::vector<std::string> SplitCsv(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t comma = text.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? text.size() : comma;
-    parts.push_back(text.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return parts;
-}
-
 /// Resolves a `whatif mechanisms=` value to canonical names: "all" expands
 /// to the registry, CSV tokens are canonicalized and deduped (first
 /// occurrence wins — a duplicate must not run twice), and empty or
@@ -55,7 +40,8 @@ std::vector<std::string> SplitCsv(const std::string& text) {
 std::vector<std::string> ResolveMechanismList(const std::string& which) {
   if (which == "all") return MechanismNames();
   std::vector<std::string> resolved;
-  for (const std::string& token : SplitCsv(which)) {
+  for (const KvToken& part : Tokenize(which, ',')) {
+    const std::string token(part.text);
     if (token.empty()) {
       throw std::invalid_argument("empty mechanism token in '" + which + "'");
     }
@@ -152,20 +138,9 @@ WireResponse HandleAdvance(ServiceSession& session, const Request& req) {
   if (has_to == has_by) return {{Err("advance needs exactly one of to=|by=")}, false};
   SimTime target = 0;
   if (has_by) {
-    const std::int64_t by = req.GetInt("by", 0);
     // Time only moves forward: a negative delta is a request to time-travel,
-    // not a clamp-to-now.
-    if (by < 0) {
-      return {{Err("advance by=" + std::to_string(by) +
-                   " is negative (time only moves forward)")},
-              false};
-    }
-    if (by > kNever - session.now()) {
-      return {{Err("advance by=" + std::to_string(by) + " overflows from now=" +
-                   std::to_string(session.now()))},
-              false};
-    }
-    target = session.now() + by;
+    // not a clamp-to-now; the upper bound keeps now + by on the clock.
+    target = session.now() + req.GetInt("by", 0, 0, kNever - session.now());
   } else {
     target = req.GetTime("to", session.now(), session.now());
     if (target < session.now()) {
@@ -379,17 +354,9 @@ void ScheduleServer::HandleWatch(Socket& client, const std::string& line) {
   std::int64_t count = 0;
   try {
     const Request req = Request::Parse(line);
-    every = req.GetInt("every", kHour);
-    count = req.GetInt("count", 0);
+    every = req.GetInt("every", kHour, 1);
+    count = req.GetInt("count", 0, 0);  // 0 means unbounded
     req.RejectUnknown();
-    if (every <= 0) {
-      throw std::invalid_argument("watch every=" + std::to_string(every) +
-                                  " must be positive");
-    }
-    if (count < 0) {
-      throw std::invalid_argument("watch count=" + std::to_string(count) +
-                                  " is negative (0 means unbounded)");
-    }
   } catch (const std::exception& e) {
     SendLine(client, Err(e.what()));
     return;

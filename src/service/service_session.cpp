@@ -6,6 +6,7 @@
 #include "core/mechanism.h"
 #include "service/protocol.h"
 #include "util/file_util.h"
+#include "util/parse.h"
 
 namespace hs {
 
@@ -209,24 +210,31 @@ std::unique_ptr<ServiceSession> ServiceSession::RestoreText(const std::string& t
     throw std::invalid_argument("snapshot missing 'spec' line");
   }
   const SimSpec spec = SimSpec::Parse(UnescapeField(spec_line.substr(5)));
-  const std::string headroom_line = next_line();
-  if (headroom_line.rfind("headroom ", 0) != 0) {
-    throw std::invalid_argument("snapshot missing 'headroom' line");
-  }
-  const std::size_t headroom = std::stoull(headroom_line.substr(9));
-  const std::string now_line = next_line();
-  if (now_line.rfind("now ", 0) != 0) {
-    throw std::invalid_argument("snapshot missing 'now' line");
-  }
-  const SimTime now = std::stoll(now_line.substr(4));
+  // `<name> <integer in [min, max]>` header lines; errors name the line.
+  const auto header_int = [&](const std::string& name, std::int64_t min, std::int64_t max) {
+    const std::string& line = next_line();
+    const std::optional<std::int64_t> value =
+        line.rfind(name + " ", 0) == 0 ? ParseInt(line.substr(name.size() + 1), min, max)
+                                       : std::nullopt;
+    if (!value) {
+      throw std::invalid_argument("snapshot line '" + line + "': want '" + name +
+                                  " <integer in [" + std::to_string(min) + ", " +
+                                  std::to_string(max) + "]>'");
+    }
+    return *value;
+  };
+  const auto headroom = static_cast<std::size_t>(
+      header_int("headroom", 1, static_cast<std::int64_t>(kMaxHeadroom)));
+  const SimTime now = header_int("now", 0, kNever);
 
   auto session = std::make_unique<ServiceSession>(spec, headroom);
   std::size_t ops = 0;
   for (;;) {
     const std::string& line = next_line();
     if (line.rfind("end ", 0) == 0) {
-      if (std::stoull(line.substr(4)) != ops) {
-        throw std::invalid_argument("snapshot op count mismatch (truncated?)");
+      if (ParseInt(line.substr(4), 0) != static_cast<std::int64_t>(ops)) {
+        throw std::invalid_argument("snapshot line '" + line + "': op count is " +
+                                    std::to_string(ops) + " (truncated?)");
       }
       break;
     }
@@ -234,7 +242,7 @@ std::unique_ptr<ServiceSession> ServiceSession::RestoreText(const std::string& t
       throw std::invalid_argument("unexpected snapshot line: " + line);
     }
     const Request op = Request::Parse(line.substr(3));
-    const SimTime at = op.GetInt("at", -1);
+    const SimTime at = op.GetInt("at", -1, 0);
     if (at < 0) throw std::invalid_argument("op line missing at=: " + line);
     session->AdvanceTo(at);
     if (op.verb() == "submit") {

@@ -75,6 +75,9 @@ WhatIfAnswer RunUntilStarted(SimulationSession& session, JobId probe,
 class ServiceSession {
  public:
   static constexpr std::size_t kDefaultHeadroom = 1024;
+  /// The most submission slots a session takes, from `hs_server --headroom`
+  /// or a snapshot's `headroom` line (the slots are reserved up front).
+  static constexpr std::size_t kMaxHeadroom = std::size_t{1} << 20;
 
   /// Builds the base trace from `spec` and opens the live session with
   /// `online_headroom` submission slots.

@@ -2,15 +2,14 @@
 
 #include <cstdlib>
 
+#include "util/parse.h"
+
 namespace hs {
 
 std::int64_t EnvInt(const char* name, std::int64_t def) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v) return def;
-  return parsed;
+  return ParseInt(v).value_or(def);
 }
 
 std::string EnvString(const char* name, const std::string& def) {

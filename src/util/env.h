@@ -8,7 +8,8 @@
 
 namespace hs {
 
-/// Reads an integer env var; returns `def` when unset or unparsable.
+/// Reads an integer env var (ParseInt's whole-string grammar: "2x" is not
+/// 2); returns `def` when unset or unparsable.
 std::int64_t EnvInt(const char* name, std::int64_t def);
 
 /// Reads a string env var; returns `def` when unset.

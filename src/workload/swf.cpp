@@ -1,9 +1,13 @@
 #include "workload/swf.h"
 
 #include <algorithm>
+#include <climits>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/parse.h"
 
 namespace hs {
 
@@ -11,6 +15,21 @@ namespace {
 
 SimTime EncodeNever(SimTime t) { return t == kNever ? -1 : t; }
 SimTime DecodeNever(long long t) { return t < 0 ? kNever : static_cast<SimTime>(t); }
+
+/// The integer after "MaxNodes:" (at `pos`) in header comment `line`;
+/// blanks around it are allowed, anything else is an error naming the line.
+int ParseMaxNodes(const std::string& line, std::size_t pos, std::size_t lineno) {
+  std::string_view text = std::string_view(line).substr(pos + 9);
+  const std::size_t first = text.find_first_not_of(" \t\r");
+  text.remove_prefix(first == std::string_view::npos ? text.size() : first);
+  text = text.substr(0, text.find_last_not_of(" \t\r") + 1);
+  const std::optional<std::int64_t> nodes = ParseInt(text, INT_MIN, INT_MAX);
+  if (!nodes) {
+    throw std::invalid_argument("SWF header line " + std::to_string(lineno) +
+                                ": bad MaxNodes in '" + line + "'");
+  }
+  return static_cast<int>(*nodes);
+}
 
 }  // namespace
 
@@ -38,9 +57,7 @@ Trace ReadHswf(std::istream& in) {
     if (line.empty()) continue;
     if (line[0] == ';') {
       const auto pos = line.find("MaxNodes:");
-      if (pos != std::string::npos) {
-        trace.num_nodes = std::stoi(line.substr(pos + 9));
-      }
+      if (pos != std::string::npos) trace.num_nodes = ParseMaxNodes(line, pos, lineno);
       const auto npos = line.find("Name:");
       if (npos != std::string::npos) {
         std::string name = line.substr(npos + 5);
@@ -98,13 +115,15 @@ Trace ImportSwf(std::istream& in, int num_nodes) {
   Trace trace;
   trace.num_nodes = num_nodes;
   std::string line;
+  std::size_t lineno = 0;
   JobId next_id = 0;
   while (std::getline(in, line)) {
+    ++lineno;
     if (line.empty()) continue;
     if (line[0] == ';') {
       const auto pos = line.find("MaxNodes:");
       if (pos != std::string::npos && num_nodes <= 0) {
-        trace.num_nodes = std::stoi(line.substr(pos + 9));
+        trace.num_nodes = ParseMaxNodes(line, pos, lineno);
       }
       continue;
     }

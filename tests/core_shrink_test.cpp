@@ -28,8 +28,12 @@ TEST(EvenShrinkTest, SumsExactlyToDemand) {
 TEST(EvenShrinkTest, NeverExceedsCapacity) {
   const auto plan = PlanEvenShrink({{1, 2}, {2, 100}}, 100);
   for (const auto& s : plan) {
-    if (s.id == 1) EXPECT_LE(s.amount, 2);
-    if (s.id == 2) EXPECT_LE(s.amount, 100);
+    if (s.id == 1) {
+      EXPECT_LE(s.amount, 2);
+    }
+    if (s.id == 2) {
+      EXPECT_LE(s.amount, 100);
+    }
   }
   EXPECT_EQ(Total(plan), 100);
 }

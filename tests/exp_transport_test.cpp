@@ -436,7 +436,9 @@ TEST(TransportTest, SeededNetworkFaultScheduleDifferential) {
     EXPECT_EQ(run.csv, golden);
     EXPECT_TRUE(run.report.complete());
     EXPECT_EQ(run.report.rows_merged, specs.size());
-    if (trial % 4 == 3) EXPECT_GE(run.report.hang_kills, 1u);
+    if (trial % 4 == 3) {
+      EXPECT_GE(run.report.hang_kills, 1u);
+    }
   }
 }
 

@@ -281,5 +281,37 @@ TEST(SnapshotTest, RestoreRejectsMalformedText) {
   EXPECT_THROW(ServiceSession::RestoreText(miscounted), std::invalid_argument);
 }
 
+TEST(SnapshotTest, RestoreChecksHeaderIntegers) {
+  const std::string good = TinyService().SnapshotText();
+  // `good` with the line opening with `key ` replaced by `key value`.
+  const auto with = [&good](const std::string& key, const std::string& value) {
+    const std::size_t at = good.find("\n" + key + " ") + 1;
+    const std::size_t end = good.find('\n', at);
+    return good.substr(0, at) + key + " " + value + good.substr(end);
+  };
+  const auto expect_rejected = [](const std::string& text, const std::string& line) {
+    try {
+      ServiceSession::RestoreText(text);
+      ADD_FAILURE() << "'" << line << "' restored";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos) << e.what();
+    }
+  };
+  // hs_server --headroom takes 1..kMaxHeadroom; a snapshot may not ask for
+  // more (a trillion slots used to die in the up-front reserve).
+  for (const std::string value : {"-1", "0", "1000000000000", "abc", "+5", " 7", "7x"}) {
+    expect_rejected(with("headroom", value), "headroom " + value);
+  }
+  for (const std::string value : {"-1", "abc", "+0", "1e3"}) {
+    expect_rejected(with("now", value), "now " + value);
+  }
+  for (const std::string value : {"abc", "-0x", " 0"}) {
+    expect_rejected(with("end", value), "end " + value);
+  }
+  // The service benchmark's 20000 slots stay admissible.
+  EXPECT_NO_THROW(ServiceSession::RestoreText(with("headroom", "20000")));
+  EXPECT_GE(ServiceSession::kMaxHeadroom, 20000u);
+}
+
 }  // namespace
 }  // namespace hs

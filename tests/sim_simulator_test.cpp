@@ -47,7 +47,6 @@ TEST(SimulatorTest, QuiescentOncePerTimestampBatch) {
 
 TEST(SimulatorTest, SchedulingInPastThrows) {
   test::SimSandbox<RecordingHandler> sandbox;
-  RecordingHandler& handler = sandbox.handler;
   Simulator& sim = sandbox.sim;
   sim.Schedule(100, EventKind::kJobSubmit, 1);
   sim.Run();
@@ -132,7 +131,6 @@ TEST(SimulatorTest, CancelPreventsDelivery) {
 
 TEST(SimulatorTest, EventsProcessedCounter) {
   test::SimSandbox<RecordingHandler> sandbox;
-  RecordingHandler& handler = sandbox.handler;
   Simulator& sim = sandbox.sim;
   for (int i = 0; i < 10; ++i) sim.Schedule(i * 10, EventKind::kJobSubmit, i);
   sim.Run();

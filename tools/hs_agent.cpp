@@ -4,17 +4,19 @@
 //            [--threads=N] [--bind-any]
 //
 // One daemon per host. It accepts one orchestrator connection at a time
-// (the orchestrator opens one connection per work unit), receives the
-// unit's cells, and starts the local hs_worker through SpawnWorker
+// (the orchestrator opens one connection per work unit), reads the unit
+// header with ParseUnitHeader (exp/transport.h, the module that also
+// writes it; the key=value grammar of util/parse.h), receives the unit's
+// cells, and starts the local hs_worker through SpawnWorker
 // (exp/transport.h): the shard header plus the cell lines exactly as
 // received are the worker's stdin, so the worker's ReadShardFile is the
 // one check on them. The agent relays the worker's stdout — its `row`
 // frames and `# hs-progress` heartbeats — verbatim as it arrives, and
 // adds only its own frames: the worker's in-memory stderr as `log` lines
 // once it exits, then `done exit=C` / `done signal=S`, or
-// `err msg=<reason>` when the unit header itself is bad. No unit writes a
-// file; --work-dir=DIR is still accepted for older launch scripts and
-// ignored.
+// `err msg=<reason>` when the unit header itself is bad (the message
+// names the bad token). No unit writes a file; --work-dir=DIR is still
+// accepted and ignored because the benchmark's fabric workloads pass it.
 //
 // The agent closes the connection after `done`/`err` and goes back to
 // accept. If the orchestrator hangs up mid-unit, the agent kills its
@@ -47,7 +49,6 @@
 #include "exp/transport.h"
 #include "util/cli.h"
 #include "util/file_util.h"
-#include "util/parse.h"
 #include "util/socket.h"
 #include "util/subprocess.h"
 
@@ -66,46 +67,6 @@ long long CellIndexOf(const std::string& line) {
   return value;
 }
 
-struct UnitHeader {
-  int origin = 0;
-  int attempt = 1;
-  int cells = 0;
-  int threads = 0;
-};
-
-/// Parses "unit origin=K attempt=N cells=M [threads=T]". Every value must
-/// be a plain decimal that fits an int; errors name the offending token.
-UnitHeader ParseUnitHeader(const std::string& line) {
-  UnitHeader header;
-  bool saw_cells = false;
-  std::istringstream tokens(line.substr(5));  // past "unit "
-  for (std::string token; tokens >> token;) {
-    const std::size_t eq = token.find('=');
-    const std::string key = token.substr(0, eq);
-    const std::string text = eq == std::string::npos ? "" : token.substr(eq + 1);
-    const std::optional<std::int64_t> parsed = ParseInt(text, 0, INT_MAX);
-    if (!parsed) throw std::runtime_error("bad unit header token '" + token + "'");
-    const int value = static_cast<int>(*parsed);
-    if (key == "origin") {
-      header.origin = value;
-    } else if (key == "attempt") {
-      if (value < 1) {
-        throw std::runtime_error("unit header '" + token + "': attempts start at 1");
-      }
-      header.attempt = value;
-    } else if (key == "cells") {
-      header.cells = value;
-      saw_cells = true;
-    } else if (key == "threads") {
-      header.threads = value;
-    } else {
-      throw std::runtime_error("unknown unit header key in '" + token + "'");
-    }
-  }
-  if (!saw_cells) throw std::runtime_error("unit header missing cells=");
-  return header;
-}
-
 struct AgentConfig {
   std::string worker_bin;
   int threads = 0;
@@ -120,9 +81,6 @@ void ServeUnit(Socket& conn, const AgentConfig& config) {
   std::string header_line;
   const RecvLineStatus header_status = conn.RecvLineWithTimeout(30.0, &header_line);
   if (header_status != RecvLineStatus::kLine) return;  // silent/idle probe: drop
-  if (header_line.rfind("unit ", 0) != 0) {
-    throw std::runtime_error("expected 'unit ...' header, got '" + header_line + "'");
-  }
   const UnitHeader header = ParseUnitHeader(header_line);
 
   std::string shard_text = std::string(kShardHeader) + '\n';
@@ -215,19 +173,16 @@ void ServeUnit(Socket& conn, const AgentConfig& config) {
 int main(int argc, char** argv) {
   try {
     const CliArgs args(argc, argv);
-    const std::int64_t port = args.GetInt("port", 0);
+    const auto port = static_cast<std::uint16_t>(args.GetInt("port", 0, 0, 65535));
     const std::string port_file = args.GetString("port-file", "");
     AgentConfig config;
     config.worker_bin = args.GetString("worker-bin", DefaultWorkerCommand());
     (void)args.Has("work-dir");  // accepted and ignored: no unit writes a file
-    config.threads = static_cast<int>(args.GetInt("threads", 0));
+    config.threads = static_cast<int>(args.GetInt("threads", 0, 0, INT_MAX));
     const bool bind_any = args.GetBool("bind-any", false);
     args.RejectUnknown();
-    if (port < 0 || port > 65535) {
-      throw std::invalid_argument("--port=" + std::to_string(port) + " is not in 0..65535");
-    }
 
-    TcpListener listener(static_cast<std::uint16_t>(port), bind_any);
+    TcpListener listener(port, bind_any);
     if (!port_file.empty()) {
       // Atomic publish: harnesses poll for the file, then read the port.
       const std::string tmp = port_file + ".tmp";

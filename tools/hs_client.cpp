@@ -22,6 +22,7 @@
 #include "service/server.h"
 #include "service/service_session.h"
 #include "util/cli.h"
+#include "util/parse.h"
 #include "util/socket.h"
 
 namespace {
@@ -31,12 +32,11 @@ namespace {
 std::string BuildRequestLine(const std::vector<std::string>& positional) {
   std::vector<std::pair<std::string, std::string>> args;
   for (std::size_t i = 1; i < positional.size(); ++i) {
-    const std::string& token = positional[i];
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("argument '" + token + "' is not key=value");
+    const hs::KvToken token = hs::ClassifyToken(positional[i]);
+    if (token.kind != hs::KvToken::Kind::kKeyValue || token.key.empty()) {
+      throw std::invalid_argument("argument '" + positional[i] + "' is not key=value");
     }
-    args.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+    args.emplace_back(token.key, token.value);
   }
   return hs::FormatRequest(positional[0], args);
 }

@@ -3,7 +3,7 @@
 //   hs_server --spec=STRING [--port=N] [--port-file=FILE] [--headroom=N]
 //
 // Loads the spec (trace + config), opens an online SimulationSession with
-// --headroom live-submission slots, binds 127.0.0.1:--port (0, the
+// --headroom live-submission slots (1..2^20), binds 127.0.0.1:--port (0, the
 // default, picks an ephemeral port) and serves hs-session v1 verbs to any
 // number of concurrent clients (thread per connection; mutations
 // serialized through the op log, what-ifs forked off-thread) until a
@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
     const std::int64_t port = args.GetInt("port", 0);
     const std::string port_file = args.GetString("port-file", "");
     const std::int64_t headroom =
-        args.GetInt("headroom", static_cast<std::int64_t>(ServiceSession::kDefaultHeadroom));
+        args.GetInt("headroom", static_cast<std::int64_t>(ServiceSession::kDefaultHeadroom),
+                    1, static_cast<std::int64_t>(ServiceSession::kMaxHeadroom));
     args.RejectUnknown();
-    if (spec_text.empty() || port < 0 || port > 65535 || headroom < 1) {
+    if (spec_text.empty() || port < 0 || port > 65535) {
       std::fprintf(stderr,
                    "usage: %s --spec=STRING [--port=N] [--port-file=FILE] "
                    "[--headroom=N]\n",

@@ -28,6 +28,7 @@
 // Exit status: 0 on success; 1 on any error (bad flags, unreadable or
 // malformed shard text, failing spec) with the reason on stderr.
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -109,17 +110,13 @@ int main(int argc, char** argv) {
     const CliArgs args(argc, argv);
     const std::string shard_path = args.GetString("shard", "");
     const std::string out_path = args.GetString("out", "");
-    const int threads = static_cast<int>(args.GetInt("threads", 0));
-    const int attempt = static_cast<int>(args.GetInt("attempt", 1));
+    const int threads = static_cast<int>(args.GetInt("threads", 0, 0, INT_MAX));
+    const int attempt = static_cast<int>(args.GetInt("attempt", 1, 1, INT_MAX));
     args.RejectUnknown();
     if (shard_path.empty() || out_path.empty()) {
       std::fprintf(stderr,
                    "usage: %s --shard=FILE --out=FILE [--threads=N] [--attempt=N]\n",
                    args.program().c_str());
-      return 1;
-    }
-    if (attempt < 1) {
-      std::fprintf(stderr, "hs_worker: --attempt must be >= 1\n");
       return 1;
     }
 
