@@ -2,6 +2,7 @@
 // and the number of jobs (outer ring in the paper) and node-hours (inner
 // ring) per size range.
 #include <cstdio>
+#include <exception>
 
 #include "exp/sim_spec.h"
 #include "util/env.h"
@@ -10,7 +11,7 @@
 
 using namespace hs;
 
-int main() {
+int main() try {
   const BenchScale scale = ResolveBenchScale();
   SimSpec spec = SimSpec::Parse("baseline/FCFS/W5/seed=1");
   spec.weeks = scale.weeks;
@@ -40,4 +41,7 @@ int main() {
   std::printf("shape check: small jobs dominate the count; large jobs hold a "
               "disproportionate share of node-hours.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -3,6 +3,7 @@
 // projects) yields trace-level job shares that vary widely because projects
 // differ in activity — exactly the spread the paper shows.
 #include <cstdio>
+#include <exception>
 
 #include "exp/sim_spec.h"
 #include "util/env.h"
@@ -12,7 +13,7 @@
 
 using namespace hs;
 
-int main() {
+int main() try {
   const BenchScale scale = ResolveBenchScale();
   const int traces = std::max(10, scale.seeds);
   std::printf("=== Fig. 4: job-type distribution across %d generated traces ===\n\n",
@@ -38,4 +39,7 @@ int main() {
               "(paper: 3%%-15%% across traces)\n",
               100 * od_share.min(), 100 * od_share.mean(), 100 * od_share.max());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

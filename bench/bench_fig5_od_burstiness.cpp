@@ -1,6 +1,7 @@
 // Fig. 5: on-demand submissions per week for three sample traces, showing
 // the bursty pattern (project sessions submit several jobs minutes apart).
 #include <cstdio>
+#include <exception>
 
 #include "exp/sim_spec.h"
 #include "metrics/timeseries.h"
@@ -10,7 +11,7 @@
 
 using namespace hs;
 
-int main() {
+int main() try {
   const BenchScale scale = ResolveBenchScale();
   std::printf("=== Fig. 5: on-demand jobs per week (3 sample traces, %d weeks) ===\n\n",
               scale.weeks);
@@ -39,4 +40,7 @@ int main() {
   std::printf("shape check: pronounced week-to-week bursts (CV >> 1), matching "
               "the paper's bursty submission pattern.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }

@@ -20,6 +20,7 @@ BackfillResult WalkQueue(int free_nodes, SimTime now,
   int free = free_nodes;
 
   for (const WaitingJob* w : queue) {
+    ++result.scanned;
     const int held = env.HeldNodes(*w);
     const int need_min = std::max(0, w->min_size() - held);
 

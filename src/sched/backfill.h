@@ -72,6 +72,8 @@ struct BackfillResult {
   JobId blocked_head = kNoJob;
   SimTime shadow_time = kNever;
   int extra_nodes = 0;
+  /// Queue entries the walk visited (a work count, not a decision).
+  std::size_t scanned = 0;
 };
 
 BackfillResult EasyBackfill(const BackfillInput& input);

@@ -51,6 +51,9 @@ ExecutionEngine::ExecutionEngine(const ExecutionEngine& other, const Trace& trac
       running_(other.running_),
       jobs_finished_(other.jobs_finished_),
       jobs_killed_(other.jobs_killed_),
+      passes_run_(other.passes_run_),
+      passes_skipped_(other.passes_skipped_),
+      entries_scanned_(other.entries_scanned_),
       avail_(other.avail_),
       pass_cache_valid_(other.pass_cache_valid_),
       pass_cluster_epoch_(other.pass_cluster_epoch_),
@@ -523,14 +526,17 @@ int ExecutionEngine::RunSchedulingPass(SimTime now) {
       pass_cluster_epoch_ == cluster_.epoch() &&
       pass_queue_epoch_ == queue_.epoch() &&
       pass_avail_epoch_ == avail_.epoch() && now < pass_next_step_) {
+    ++passes_skipped_;
     return 0;
   }
+  ++passes_run_;
   // The eligible view is a reference into the queue's cache: planning reads
   // it to completion before any start mutates the queue.
   const std::vector<const WaitingJob*>& queue = queue_.OrderedEligible(*policy_, now);
   const EnginePassEnv env(*this);
   const BackfillResult result =
       PlanBackfill(cluster_.free_count(), now, avail_, queue, env);
+  entries_scanned_ += result.scanned;
   int started = 0;
   for (const StartDecision& d : result.starts) {
     if (StartWaiting(d.job, d.alloc, now)) ++started;

@@ -110,6 +110,7 @@ class ExecutionEngine {
   Cluster& cluster() { return cluster_; }
   const Cluster& cluster() const { return cluster_; }
   QueueManager& queue() { return queue_; }
+  const QueueManager& queue() const { return queue_; }
   /// The engine's ordering-policy instance (shared so owners reuse the
   /// queue's cached ordered view instead of instantiating policy copies).
   const OrderingPolicy& policy() const { return *policy_; }
@@ -230,6 +231,13 @@ class ExecutionEngine {
   std::size_t jobs_killed() const { return jobs_killed_; }
   std::size_t running_count() const { return running_.size(); }
 
+  // Work counts (machine-independent; exp_golden_grid_test pins them per
+  // cell): passes that planned, passes the epoch gate skipped, and queue
+  // entries the planning walks visited.
+  std::uint64_t passes_run() const { return passes_run_; }
+  std::uint64_t passes_skipped() const { return passes_skipped_; }
+  std::uint64_t entries_scanned() const { return entries_scanned_; }
+
  private:
   RunningJob& MustRun(JobId id);
   const RunningJob& MustRun(JobId id) const;
@@ -283,6 +291,9 @@ class ExecutionEngine {
   std::unordered_map<JobId, RunningJob> running_;
   std::size_t jobs_finished_ = 0;
   std::size_t jobs_killed_ = 0;
+  std::uint64_t passes_run_ = 0;
+  std::uint64_t passes_skipped_ = 0;
+  std::uint64_t entries_scanned_ = 0;
 
   /// Free-node step function over future time, kept in lockstep with
   /// running_ (SyncAvailability at every mutation).

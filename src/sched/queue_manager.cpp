@@ -48,6 +48,7 @@ const std::vector<const WaitingJob*>& QueueManager::EnsureOrdered(
                    cache_policy_ == policy.name() &&
                    (cache_time_invariant_ || cache_now_ == now);
   if (!hit) {
+    ++sorts_;
     cache_ = All();
     std::sort(cache_.begin(), cache_.end(),
               [&policy, now](const WaitingJob* a, const WaitingJob* b) {

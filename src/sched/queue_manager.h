@@ -27,10 +27,12 @@ class QueueManager {
   // transfer, the ordered-view cache does not (its pointers target the
   // source's map nodes), so the copy rebuilds it on first Ordered() call —
   // bit-identical to the source's view, the comparator being a total order.
-  QueueManager(const QueueManager& other) : jobs_(other.jobs_), epoch_(other.epoch_) {}
+  QueueManager(const QueueManager& other)
+      : jobs_(other.jobs_), epoch_(other.epoch_), sorts_(other.sorts_) {}
   QueueManager& operator=(const QueueManager& other) {
     jobs_ = other.jobs_;
     epoch_ = other.epoch_;
+    sorts_ = other.sorts_;
     cache_.clear();
     cache_valid_ = false;
     eligible_cache_.clear();
@@ -60,6 +62,9 @@ class QueueManager {
   /// availability-profile epochs).
   std::uint64_t epoch() const { return epoch_; }
 
+  /// Times the ordered view was re-sorted (cache misses); a work count.
+  std::uint64_t sorts() const { return sorts_; }
+
   /// Entries ordered by (boosted first, policy key, first_submit, id).
   /// Served from the epoch-keyed cache when nothing relevant changed; the
   /// returned vector is the caller's own copy, safe across queue edits.
@@ -86,6 +91,7 @@ class QueueManager {
   // (unordered_map nodes are stable) and any churn bumps epoch_, so a
   // cache hit never dereferences a removed entry.
   std::uint64_t epoch_ = 0;
+  mutable std::uint64_t sorts_ = 0;
   mutable std::vector<const WaitingJob*> cache_;
   mutable std::uint64_t cache_epoch_ = 0;
   mutable bool cache_valid_ = false;

@@ -226,6 +226,17 @@ std::string VerbOf(const std::string& line) {
   return line.substr(0, space == std::string::npos ? line.size() : space);
 }
 
+/// Frames a whole reply and sends it in one write: a reply split over
+/// several sends stalls on the peer's delayed ACK.
+void SendResponse(Socket& client, const WireResponse& resp) {
+  std::string framed;
+  for (const std::string& line : resp.lines) {
+    framed += line;
+    framed += '\n';
+  }
+  client.SendAll(framed);
+}
+
 }  // namespace
 
 WireResponse HandleRequestLine(ServiceSession& session, const std::string& line,
@@ -333,7 +344,7 @@ bool ScheduleServer::HandleOne(Socket& client, const std::string& line) {
     } catch (const std::exception& e) {
       resp = {{Err(e.what())}, false};
     }
-    for (const std::string& out : resp.lines) SendLine(client, out);
+    SendResponse(client, resp);
     return false;
   }
   WireResponse resp;
@@ -344,7 +355,7 @@ bool ScheduleServer::HandleOne(Socket& client, const std::string& line) {
     std::shared_lock<std::shared_mutex> lock(session_mutex_);
     resp = HandleRequestLine(*session_, line);
   }
-  for (const std::string& out : resp.lines) SendLine(client, out);
+  SendResponse(client, resp);
   if (resp.shutdown) RequestStop();
   return resp.shutdown;
 }

@@ -1,6 +1,7 @@
 #include "util/env.h"
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "util/parse.h"
 
@@ -9,7 +10,12 @@ namespace hs {
 std::int64_t EnvInt(const char* name, std::int64_t def) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
-  return ParseInt(v).value_or(def);
+  const std::optional<std::int64_t> parsed = ParseInt(v);
+  if (!parsed) {
+    throw std::invalid_argument(std::string("malformed ") + name + "=" + v +
+                                " (expected an integer)");
+  }
+  return *parsed;
 }
 
 std::string EnvString(const char* name, const std::string& def) {

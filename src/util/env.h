@@ -9,7 +9,9 @@
 namespace hs {
 
 /// Reads an integer env var (ParseInt's whole-string grammar: "2x" is not
-/// 2); returns `def` when unset or unparsable.
+/// 2); returns `def` when unset or empty. Throws std::invalid_argument
+/// naming `NAME=value` when the value does not parse, so a typo never
+/// silently runs at the default scale.
 std::int64_t EnvInt(const char* name, std::int64_t def);
 
 /// Reads a string env var; returns `def` when unset.

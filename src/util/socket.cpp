@@ -23,6 +23,15 @@ namespace {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
+/// Disables Nagle's algorithm: every message here is one write followed by
+/// a wait for the reply, so coalescing only adds delayed-ACK stalls. Best
+/// effort: a socket that refuses the option still works, only slower, and
+/// an accept loop must not die over it.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 sockaddr_in LoopbackAddr(std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -94,28 +103,34 @@ void Socket::SendAll(std::string_view data) {
   }
 }
 
+bool Socket::TakeLine(std::string* line, bool at_eof) {
+  const std::size_t nl = buf_.find('\n');
+  const std::size_t len = nl != std::string::npos ? nl : buf_.size();
+  if (len > kMaxLineBytes) {
+    throw std::runtime_error("Socket: line longer than the " +
+                             std::to_string(kMaxLineBytes) + "-byte limit");
+  }
+  if (nl == std::string::npos && (!at_eof || buf_.empty())) return false;
+  line->assign(buf_, 0, len);
+  buf_.erase(0, nl != std::string::npos ? nl + 1 : len);
+  if (!line->empty() && line->back() == '\r') line->pop_back();
+  return true;
+}
+
 std::optional<std::string> Socket::RecvLine() {
   if (fd_ < 0) throw std::runtime_error("Socket::RecvLine on closed socket");
+  std::string line;
   for (;;) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buf_.substr(0, nl);
-      buf_.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
+    if (TakeLine(&line, false)) return line;
     char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
       Fail("Socket::RecvLine");
     }
-    if (n == 0) {  // EOF
-      if (buf_.empty()) return std::nullopt;
-      std::string line = std::move(buf_);
-      buf_.clear();
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
+    if (n == 0) {  // EOF: a buffered partial line is still a line
+      if (TakeLine(&line, true)) return line;
+      return std::nullopt;
     }
     buf_.append(chunk, static_cast<std::size_t>(n));
   }
@@ -129,13 +144,7 @@ RecvLineStatus Socket::RecvLineWithTimeout(double timeout_s, std::string* line) 
           std::chrono::duration<double>(timeout_s));
   bool first = true;
   for (;;) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      *line = buf_.substr(0, nl);
-      buf_.erase(0, nl + 1);
-      if (!line->empty() && line->back() == '\r') line->pop_back();
-      return RecvLineStatus::kLine;
-    }
+    if (TakeLine(line, false)) return RecvLineStatus::kLine;
     int remaining_ms = 0;
     if (timeout_s > 0.0) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -155,11 +164,7 @@ RecvLineStatus Socket::RecvLineWithTimeout(double timeout_s, std::string* line) 
       Fail("Socket::RecvLineWithTimeout");
     }
     if (n == 0) {  // EOF: a buffered partial line is still a line
-      if (buf_.empty()) return RecvLineStatus::kEof;
-      *line = std::move(buf_);
-      buf_.clear();
-      if (!line->empty() && line->back() == '\r') line->pop_back();
-      return RecvLineStatus::kLine;
+      return TakeLine(line, true) ? RecvLineStatus::kLine : RecvLineStatus::kEof;
     }
     buf_.append(chunk, static_cast<std::size_t>(n));
   }
@@ -184,16 +189,7 @@ void SendLine(Socket& socket, std::string_view line) {
   socket.SendAll(framed);
 }
 
-Socket ConnectLoopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) Fail("ConnectLoopback: socket");
-  Socket sock(fd);
-  const sockaddr_in addr = LoopbackAddr(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Fail("ConnectLoopback: connect to 127.0.0.1:" + std::to_string(port));
-  }
-  return sock;
-}
+Socket ConnectLoopback(std::uint16_t port) { return ConnectTcp("127.0.0.1", port); }
 
 Socket ConnectTcp(const std::string& host, std::uint16_t port,
                   double connect_timeout_s) {
@@ -219,6 +215,7 @@ Socket ConnectTcp(const std::string& host, std::uint16_t port,
     if (connect_timeout_s <= 0.0) {
       if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
         ::freeaddrinfo(res);
+        SetNoDelay(fd);
         return sock;
       }
       last_error = std::string("connect: ") + std::strerror(errno);
@@ -257,6 +254,7 @@ Socket ConnectTcp(const std::string& host, std::uint16_t port,
       continue;
     }
     ::freeaddrinfo(res);
+    SetNoDelay(fd);
     return sock;
   }
   ::freeaddrinfo(res);
@@ -288,7 +286,10 @@ TcpListener::TcpListener(std::uint16_t port, bool bind_any) {
 Socket TcpListener::Accept() {
   for (;;) {
     const int fd = ::accept(listen_.fd(), nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
+    if (fd >= 0) {
+      SetNoDelay(fd);
+      return Socket(fd);
+    }
     if (errno == EINTR) continue;
     Fail("TcpListener::Accept");
   }

@@ -7,15 +7,22 @@
 // connects (ConnectTcp) and bounded reads (RecvLineWithTimeout) so a
 // half-open or wedged peer can never hang the orchestrator forever.
 // Errors throw std::runtime_error naming the failing call, matching the
-// subprocess.h / file_util.h idiom.
+// subprocess.h / file_util.h idiom. Every connected TCP socket has
+// TCP_NODELAY set: a message is one write followed by a wait for the reply.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 
 namespace hs {
+
+/// Longest line (newline excluded) RecvLine and RecvLineWithTimeout
+/// accept; a longer one throws std::runtime_error naming the limit, so a
+/// peer that never sends a newline cannot grow the buffer without bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// Outcome of a bounded line read (Socket::RecvLineWithTimeout).
 enum class RecvLineStatus {
@@ -48,7 +55,8 @@ class Socket {
 
   /// Reads up to and including the next '\n'; returns the line without the
   /// newline (and without a trailing '\r'). nullopt on clean EOF with no
-  /// buffered partial line; a partial line at EOF is returned as-is.
+  /// buffered partial line; a partial line at EOF is returned as-is. Throws
+  /// past kMaxLineBytes.
   std::optional<std::string> RecvLine();
 
   /// RecvLine bounded by a deadline: waits at most `timeout_s` seconds
@@ -67,6 +75,11 @@ class Socket {
   bool PeerClosed() const;
 
  private:
+  /// Moves the next buffered line into `*line` (the whole remainder when
+  /// `at_eof`); false when no line is complete yet. Throws when the
+  /// buffered line exceeds kMaxLineBytes.
+  bool TakeLine(std::string* line, bool at_eof);
+
   int fd_ = -1;
   std::string buf_;  // bytes received past the last returned line
 };
@@ -80,7 +93,8 @@ void SendLine(Socket& socket, std::string_view line);
 /// long as the owner has not closed it yet.
 void ShutdownFd(int fd);
 
-/// Connects to 127.0.0.1:`port`; throws std::runtime_error on failure.
+/// Connects to 127.0.0.1:`port` (ConnectTcp with the OS connect timeout);
+/// throws std::runtime_error on failure.
 Socket ConnectLoopback(std::uint16_t port);
 
 /// Connects to `host`:`port` (IPv4; numeric or resolvable name). A

@@ -1,21 +1,31 @@
-// Golden-trace regression test: the committed fixture
-// tests/golden/spec_grid_seed.csv locks the simulation content of the
-// original seven mechanisms (baseline + the paper's six) at W1S1 (weeks=1,
-// seed=1) and W2S2 (weeks=2, seeds 2 and 3), wall-clock columns stripped.
-// Any PR that silently changes simulation behavior — scheduler decisions,
-// trace synthesis, metric accounting — fails here with a per-line diff.
+// Golden-trace regression tests over committed fixtures in tests/golden/:
 //
-// Intentional changes refresh the fixture with one command:
+//   * spec_grid_seed.csv locks the simulation content of the original seven
+//     mechanisms (baseline + the paper's six) at W1S1 (weeks=1, seed=1) and
+//     W2S2 (weeks=2, seeds 2 and 3), wall-clock columns stripped. Any change
+//     to scheduler decisions, trace synthesis or metric accounting fails
+//     here with a per-line diff.
+//   * work_counts.csv locks how much work each of those cells does, plus
+//     one aimix storm cell and one WFP3 cell: events dispatched, scheduling
+//     passes run and skipped by the epoch gate, queue entries the planning
+//     walk visited, ordered-view re-sorts, and the cluster, queue and
+//     availability-profile epochs (mutation counts). The counts are
+//     deterministic and machine-independent, so a hot-path change shows up
+//     as counts that move, with no runner noise in the way.
+//
+// Intentional changes refresh both fixtures with one command:
 //
 //   HS_UPDATE_GOLDEN=1 ./build/exp_golden_grid_test
 //
-// then commit the updated CSV alongside the change that moved it.
+// then commit the updated CSVs alongside the change that moved them.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <sstream>
 
 #include "exp/runner.h"
+#include "exp/session.h"
+#include "util/csv.h"
 #include "util/file_util.h"
 #include "util/thread_pool.h"
 
@@ -32,6 +42,10 @@ constexpr const char* kOriginalMechanisms[] = {
 
 std::string GoldenPath() {
   return std::string(HS_SOURCE_DIR) + "/tests/golden/spec_grid_seed.csv";
+}
+
+std::string WorkCountsPath() {
+  return std::string(HS_SOURCE_DIR) + "/tests/golden/work_counts.csv";
 }
 
 /// The fixture's grid: mechanism-major; per mechanism one W1S1 cell and a
@@ -61,35 +75,83 @@ std::string GenerateGoldenCsv() {
   return out.str();
 }
 
-TEST(GoldenGridTest, MatchesCommittedFixture) {
-  const std::string generated = GenerateGoldenCsv();
+/// The count fixture's cells: the golden grid, one same-tick AI-swarm storm
+/// cell (most of its time is in the scheduling pass), and one WFP3 cell —
+/// the only policy whose order drifts with the clock, so the epoch gate
+/// never skips its passes.
+std::vector<SimSpec> WorkCountSpecs() {
+  std::vector<SimSpec> specs = GoldenSpecs();
+  for (const char* text : {"CUP&SPAA/FCFS/W5/preset=aimix/ai_frac=0.6/load=0.5",
+                           "CUP&SPAA/WFP3/W5"}) {
+    SimSpec spec = SimSpec::Parse(text);
+    spec.weeks = 1;
+    spec.seed = 1;
+    specs.push_back(spec);
+  }
+  return specs;
+}
 
+/// One row of work counts per cell, each cell run to exhaustion.
+std::string GenerateWorkCountsCsv() {
+  std::ostringstream out;
+  CsvWriter csv(out);
+  csv.WriteRow({"spec", "events", "passes_run", "passes_skipped", "entries_scanned",
+                "queue_sorts", "cluster_epoch", "queue_epoch", "profile_epoch"});
+  for (const SimSpec& spec : WorkCountSpecs()) {
+    SimulationSession session(spec);
+    session.Run();
+    const ExecutionEngine& engine = session.scheduler().engine();
+    csv.WriteRow({spec.ToString(),
+                  std::to_string(session.simulator().events_processed()),
+                  std::to_string(engine.passes_run()),
+                  std::to_string(engine.passes_skipped()),
+                  std::to_string(engine.entries_scanned()),
+                  std::to_string(engine.queue().sorts()),
+                  std::to_string(engine.cluster().epoch()),
+                  std::to_string(engine.queue().epoch()),
+                  std::to_string(engine.availability().epoch())});
+  }
+  return out.str();
+}
+
+/// Fails unless `generated` is byte-identical to the committed fixture at
+/// `path` (rewriting it first under HS_UPDATE_GOLDEN=1); reports every
+/// differing line.
+void ExpectMatchesFixture(const std::string& generated, const std::string& path) {
   if (std::getenv("HS_UPDATE_GOLDEN") != nullptr) {
-    WriteTextFile(GoldenPath(), generated);
-    std::printf("refreshed %s (%zu bytes)\n", GoldenPath().c_str(), generated.size());
+    WriteTextFile(path, generated);
+    std::printf("refreshed %s (%zu bytes)\n", path.c_str(), generated.size());
   }
 
-  std::string golden;
+  std::string fixture;
   try {
-    golden = ReadTextFile(GoldenPath());
+    fixture = ReadTextFile(path);
   } catch (const std::exception& e) {
     FAIL() << e.what()
            << "\n(missing fixture? regenerate with HS_UPDATE_GOLDEN=1 " __FILE__ ")";
   }
 
-  if (generated == golden) return;  // byte-identical, done
+  if (generated == fixture) return;  // byte-identical, done
 
-  // Pinpoint the drift: first differing line, named by spec.
   const auto got = SplitLines(generated);
-  const auto want = SplitLines(golden);
-  EXPECT_EQ(got.size(), want.size());
+  const auto want = SplitLines(fixture);
+  EXPECT_EQ(got.size(), want.size()) << "line count of " << path;
   for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-    ASSERT_EQ(got[i], want[i])
-        << "first drift at line " << (i + 1) << " of " << GoldenPath()
-        << "\nSimulation content changed. If intentional, refresh with:\n"
-           "  HS_UPDATE_GOLDEN=1 ./exp_golden_grid_test\nand commit the fixture.";
+    if (got[i] == want[i]) continue;
+    ADD_FAILURE() << path << ":" << (i + 1) << " differs\n  header: " << want[0]
+                  << "\n  want:   " << want[i] << "\n  got:    " << got[i];
   }
-  FAIL() << "generated CSV and fixture differ in length";
+  ADD_FAILURE() << path << " differs from the generated text. If intentional, refresh with:\n"
+                   "  HS_UPDATE_GOLDEN=1 ./exp_golden_grid_test\n"
+                   "and commit it with the reason.";
+}
+
+TEST(GoldenGridTest, MatchesCommittedFixture) {
+  ExpectMatchesFixture(GenerateGoldenCsv(), GoldenPath());
+}
+
+TEST(GoldenGridTest, WorkCountsMatchCommittedFixture) {
+  ExpectMatchesFixture(GenerateWorkCountsCsv(), WorkCountsPath());
 }
 
 TEST(GoldenGridTest, FixtureShapeIsLocked) {

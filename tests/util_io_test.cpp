@@ -40,7 +40,15 @@ TEST(EnvTest, IntDefaultsAndParses) {
   ::setenv("HS_TEST_ENV_INT", "42", 1);
   EXPECT_EQ(EnvInt("HS_TEST_ENV_INT", 7), 42);
   ::setenv("HS_TEST_ENV_INT", "garbage", 1);
-  EXPECT_EQ(EnvInt("HS_TEST_ENV_INT", 7), 7);
+  EXPECT_THROW(EnvInt("HS_TEST_ENV_INT", 7), std::invalid_argument);
+  ::setenv("HS_TEST_ENV_INT", "2x", 1);
+  try {
+    EnvInt("HS_TEST_ENV_INT", 7);
+    ADD_FAILURE() << "2x parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("HS_TEST_ENV_INT=2x"), std::string::npos)
+        << e.what();
+  }
   ::unsetenv("HS_TEST_ENV_INT");
 }
 

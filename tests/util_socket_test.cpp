@@ -1,9 +1,14 @@
 // Loopback socket primitive tests: ephemeral binding, line framing across
-// split writes, CRLF tolerance, EOF semantics, bounded line reads, and
-// partial-write resilience under a slow-draining peer.
+// split writes, CRLF tolerance, EOF semantics, bounded line reads, the line
+// length cap, TCP_NODELAY on both ends, and partial-write resilience under
+// a slow-draining peer.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -112,11 +117,12 @@ TEST(SocketTest, RecvLineWithTimeoutEofSemanticsMatchRecvLine) {
 TEST(SocketTest, SendAllSurvivesPartialWritesToSlowReader) {
   // A payload far beyond the kernel socket buffers forces send(2) to
   // return short writes; SendAll must keep going until every byte is out,
-  // and the slow-draining reader must see the exact bytes.
+  // and the slow-draining reader must see the exact bytes. The payload is
+  // 64 KiB lines, well inside the reader's line cap.
   const std::size_t kBytes = 4 * 1024 * 1024;
   std::string payload(kBytes, 'x');
   for (std::size_t i = 0; i < payload.size(); i += 4096) payload[i] = 'y';
-  payload.back() = '\n';
+  for (std::size_t i = 65535; i < payload.size(); i += 65536) payload[i] = '\n';
 
   TcpListener listener(0);
   std::string received;
@@ -150,6 +156,67 @@ TEST(SocketTest, SendAllToHungUpPeerThrowsInsteadOfSigpipe) {
         for (int i = 0; i < 10000; ++i) client.SendAll(std::string(4096, 'z'));
       },
       std::runtime_error);
+}
+
+bool NoDelaySet(const Socket& socket) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value != 0;
+}
+
+TEST(SocketTest, BothEndsSetTcpNoDelay) {
+  TcpListener listener(0);
+  Socket loopback = ConnectLoopback(listener.port());
+  Socket loopback_peer = listener.Accept();
+  EXPECT_TRUE(NoDelaySet(loopback));
+  EXPECT_TRUE(NoDelaySet(loopback_peer));
+
+  Socket bounded = ConnectTcp("127.0.0.1", listener.port(), 5.0);
+  Socket bounded_peer = listener.Accept();
+  EXPECT_TRUE(NoDelaySet(bounded));
+  EXPECT_TRUE(NoDelaySet(bounded_peer));
+}
+
+TEST(SocketTest, LineLongerThanTheCapThrowsNamingTheLimit) {
+  // Both line readers, over a socketpair: a line of exactly kMaxLineBytes
+  // is delivered, then 2 MiB with no newline throws once the buffer passes
+  // the cap instead of growing without bound.
+  const std::function<std::optional<std::string>(Socket&)> readers[] = {
+      [](Socket& s) { return s.RecvLine(); },
+      [](Socket& s) -> std::optional<std::string> {
+        std::string line;
+        if (s.RecvLineWithTimeout(10.0, &line) != RecvLineStatus::kLine) return {};
+        return line;
+      },
+  };
+  for (const auto& read : readers) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    Socket reader(fds[0]);
+    std::thread writer([fd = fds[1]] {
+      Socket out(fd);
+      try {
+        out.SendAll(std::string(kMaxLineBytes, 'a') + "\n");
+        out.SendAll(std::string(2 * kMaxLineBytes, 'b'));
+      } catch (const std::exception&) {
+        // The reader gave up and closed its end: expected.
+      }
+    });
+    const std::optional<std::string> longest = read(reader);
+    ASSERT_TRUE(longest.has_value());
+    EXPECT_EQ(longest->size(), kMaxLineBytes);
+    try {
+      read(reader);
+      ADD_FAILURE() << "an over-long line was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxLineBytes)),
+                std::string::npos)
+          << e.what();
+    }
+    reader.Close();
+    writer.join();
+  }
 }
 
 TEST(SocketTest, MovedFromSocketIsInvalid) {
