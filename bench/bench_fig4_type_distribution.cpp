@@ -30,7 +30,11 @@ int main() try {
     const ClassShares shares = JobClassShares(trace);
     const ClassShares nh = NodeHourClassShares(trace);
     od_share.Add(shares.on_demand);
-    table.AddRow({"T" + std::to_string(i), std::to_string(trace.jobs.size()),
+    // Appended, not "T" + to_string(i): GCC 12 inlines that operator+ into
+    // a memcpy it then reports as a -Wrestrict overlap.
+    std::string label = "T";
+    label += std::to_string(i);
+    table.AddRow({label, std::to_string(trace.jobs.size()),
                   FmtPct(shares.rigid, 1), FmtPct(shares.on_demand, 1),
                   FmtPct(shares.malleable, 1), FmtPct(nh.on_demand, 1)});
   }

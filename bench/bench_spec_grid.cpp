@@ -27,7 +27,6 @@
 //   --shards=K          run through ShardedRunner with K hs_worker procs
 //   --hosts=H1:P1,...   dispatch units to remote hs_agent daemons over TCP
 //                       (work-stealing; defaults --shards to 3x host count)
-//   --strategy=NAME     round-robin | cost-weighted (default)
 //   --worker-bin=PATH   hs_worker override (default: next to this binary)
 //   --retries=N         respawns per failed shard beyond the first attempt
 //   --shard-timeout=S   kill + retry a worker silent for S seconds (0: off)
@@ -382,7 +381,6 @@ int main(int argc, char** argv) try {
   const std::string csv_path =
       args.GetString("out", EnvString("HYBRIDSCHED_GRID_CSV", ""));
   const bool strip_wallclock = args.GetBool("strip-wallclock", false);
-  const std::string strategy_name = args.GetString("strategy", "cost-weighted");
   const std::string worker_bin = args.GetString("worker-bin", "");
   const int retries = static_cast<int>(args.GetInt("retries", 0, 0, INT_MAX));
   const double shard_timeout = args.GetDouble("shard-timeout", 0.0);
@@ -442,7 +440,6 @@ int main(int argc, char** argv) try {
     // work-stealing queue has enough granularity to balance uneven hosts.
     options.shards = shards > 0 ? static_cast<std::size_t>(shards)
                                 : 3 * ParseHostList(hosts).size();
-    options.strategy = ParseShardStrategy(strategy_name);
     options.worker_cmd = worker_bin;
     options.retry.max_attempts = retries + 1;
     options.shard_timeout_s = shard_timeout;
@@ -455,10 +452,9 @@ int main(int argc, char** argv) try {
     for (const FabricCellError& cell : runner.last_report().quarantined) {
       merged.Skip(cell.spec_index);
     }
-    std::printf("scattered %zu cells as %zu units via %s (%s)\n",
-                specs.size(), runner.last_plan().shard_count(),
-                runner.last_report().transport.c_str(),
-                ShardStrategyName(options.strategy));
+    std::printf("scattered %zu cells as %zu units via %s\n", specs.size(),
+                runner.last_plan().shard_count(),
+                runner.last_report().transport.c_str());
     std::printf("%s\n", runner.last_report().Summary().c_str());
   } else {
     ThreadPool pool;

@@ -6,8 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/parse.h"
-
 namespace hs {
 
 namespace {
@@ -18,60 +16,9 @@ std::string FmtDouble(double value) {
   return out.str();
 }
 
-/// (name, value-as-string) pairs shared by the CSV and JSONL sinks. The
-/// wall-clock columns (decision_avg_us, decision_max_us) are the only ones
-/// that vary between runs of the same binary; CsvSinkOptions can strip them
-/// to produce byte-stable, diffable output.
-std::vector<std::pair<std::string, std::string>> ResultFields(const SpecResult& row,
-                                                              bool include_wallclock) {
-  const SimResult& r = row.result;
-  std::vector<std::pair<std::string, std::string>> fields;
-  fields.emplace_back("spec", row.spec.ToString());
-  fields.emplace_back("trace", row.trace_name);
-  fields.emplace_back("mechanism", row.spec.mechanism);
-  fields.emplace_back("policy", row.spec.policy);
-  fields.emplace_back("mix", row.spec.notice_mix);
-  fields.emplace_back("preset", row.spec.preset);
-  fields.emplace_back("weeks", std::to_string(row.spec.weeks));
-  fields.emplace_back("seed", std::to_string(row.spec.seed));
-  fields.emplace_back("avg_turnaround_h", FmtDouble(r.avg_turnaround_h));
-  fields.emplace_back("rigid_turnaround_h", FmtDouble(r.rigid_turnaround_h));
-  fields.emplace_back("malleable_turnaround_h", FmtDouble(r.malleable_turnaround_h));
-  fields.emplace_back("od_turnaround_h", FmtDouble(r.od_turnaround_h));
-  fields.emplace_back("avg_wait_h", FmtDouble(r.avg_wait_h));
-  fields.emplace_back("od_instant_rate", FmtDouble(r.od_instant_rate));
-  fields.emplace_back("od_instant_rate_strict", FmtDouble(r.od_instant_rate_strict));
-  fields.emplace_back("od_avg_delay_s", FmtDouble(r.od_avg_delay_s));
-  fields.emplace_back("rigid_preempt_ratio", FmtDouble(r.rigid_preempt_ratio));
-  fields.emplace_back("malleable_preempt_ratio", FmtDouble(r.malleable_preempt_ratio));
-  fields.emplace_back("malleable_shrink_ratio", FmtDouble(r.malleable_shrink_ratio));
-  fields.emplace_back("utilization", FmtDouble(r.utilization));
-  fields.emplace_back("useful_utilization", FmtDouble(r.useful_utilization));
-  fields.emplace_back("allocated_utilization", FmtDouble(r.allocated_utilization));
-  fields.emplace_back("window_utilization", FmtDouble(r.window_utilization));
-  fields.emplace_back("lost_node_hours", FmtDouble(r.lost_node_hours));
-  fields.emplace_back("setup_node_hours", FmtDouble(r.setup_node_hours));
-  fields.emplace_back("checkpoint_node_hours", FmtDouble(r.checkpoint_node_hours));
-  fields.emplace_back("jobs_completed", std::to_string(r.jobs_completed));
-  fields.emplace_back("jobs_killed", std::to_string(r.jobs_killed));
-  fields.emplace_back("od_jobs", std::to_string(r.od_jobs));
-  fields.emplace_back("preemptions", std::to_string(r.preemptions));
-  fields.emplace_back("failures", std::to_string(r.failures));
-  fields.emplace_back("shrinks", std::to_string(r.shrinks));
-  fields.emplace_back("expands", std::to_string(r.expands));
-  if (include_wallclock) {
-    fields.emplace_back("decision_avg_us", FmtDouble(r.decision_avg_us));
-    fields.emplace_back("decision_max_us", FmtDouble(r.decision_max_us));
-  }
-  fields.emplace_back("decisions", std::to_string(r.decisions));
-  fields.emplace_back("makespan_s", std::to_string(r.makespan));
-  return fields;
-}
-
-bool IsNumericField(const std::string& name) {
-  return name != "spec" && name != "trace" && name != "mechanism" &&
-         name != "policy" && name != "mix" && name != "preset";
-}
+/// The spec columns every CSV row starts with; kResultFields follow.
+constexpr const char* kSpecColumns[] = {"spec", "trace",  "mechanism", "policy",
+                                        "mix",  "preset", "weeks",     "seed"};
 
 }  // namespace
 
@@ -79,36 +26,30 @@ CsvResultSink::CsvResultSink(std::ostream& out, CsvSinkOptions options)
     : writer_(out), options_(options) {}
 
 void CsvResultSink::OnResult(std::size_t /*spec_index*/, const SpecResult& row) {
-  const auto fields = ResultFields(row, options_.include_wallclock);
+  const auto keep = [&](const ResultField& field) {
+    return options_.include_wallclock || !field.wallclock;
+  };
   if (!header_written_) {
-    std::vector<std::string> header;
-    header.reserve(fields.size());
-    for (const auto& [name, value] : fields) header.push_back(name);
+    std::vector<std::string> header(std::begin(kSpecColumns), std::end(kSpecColumns));
+    for (const ResultField& field : kResultFields) {
+      if (keep(field)) header.emplace_back(field.name);
+    }
     writer_.WriteRow(header);
     header_written_ = true;
   }
-  std::vector<std::string> values;
-  values.reserve(fields.size());
-  for (const auto& [name, value] : fields) values.push_back(value);
-  writer_.WriteRow(values);
-}
-
-void JsonlResultSink::OnResult(std::size_t /*spec_index*/, const SpecResult& row) {
-  std::string line = "{";
-  bool first = true;
-  for (const auto& [name, value] : ResultFields(row, /*include_wallclock=*/true)) {
-    if (!first) line += ",";
-    first = false;
-    line += "\"" + name + "\":";
-    if (IsNumericField(name)) {
-      line += value;
-    } else {
-      line += "\"" + JsonEscape(value) + "\"";
-    }
+  const SimSpec& spec = row.spec;
+  std::vector<std::string> values = {spec.ToString(),
+                                     row.trace_name,
+                                     spec.mechanism,
+                                     spec.policy,
+                                     spec.notice_mix,
+                                     spec.preset,
+                                     std::to_string(spec.weeks),
+                                     std::to_string(spec.seed)};
+  for (const ResultField& field : kResultFields) {
+    if (keep(field)) values.push_back(FieldText(row.result, field, FmtDouble));
   }
-  line += "}\n";
-  out_ << line;
-  out_.flush();
+  writer_.WriteRow(values);
 }
 
 TeeResultSink::TeeResultSink(std::vector<ResultSink*> sinks)
@@ -281,38 +222,20 @@ std::vector<SimSpec> SeedSweep(const SimSpec& base, int count, std::uint64_t bas
 
 SimResult MeanResult(const std::vector<SimResult>& results) {
   SimResult mean;
-  if (results.empty()) return mean;
   const double n = static_cast<double>(results.size());
   for (const SimResult& r : results) {
-    mean.avg_turnaround_h += r.avg_turnaround_h / n;
-    mean.rigid_turnaround_h += r.rigid_turnaround_h / n;
-    mean.malleable_turnaround_h += r.malleable_turnaround_h / n;
-    mean.od_turnaround_h += r.od_turnaround_h / n;
-    mean.avg_wait_h += r.avg_wait_h / n;
-    mean.od_instant_rate += r.od_instant_rate / n;
-    mean.od_instant_rate_strict += r.od_instant_rate_strict / n;
-    mean.od_avg_delay_s += r.od_avg_delay_s / n;
-    mean.rigid_preempt_ratio += r.rigid_preempt_ratio / n;
-    mean.malleable_preempt_ratio += r.malleable_preempt_ratio / n;
-    mean.malleable_shrink_ratio += r.malleable_shrink_ratio / n;
-    mean.utilization += r.utilization / n;
-    mean.useful_utilization += r.useful_utilization / n;
-    mean.allocated_utilization += r.allocated_utilization / n;
-    mean.window_utilization += r.window_utilization / n;
-    mean.lost_node_hours += r.lost_node_hours / n;
-    mean.setup_node_hours += r.setup_node_hours / n;
-    mean.checkpoint_node_hours += r.checkpoint_node_hours / n;
-    mean.jobs_completed += r.jobs_completed;
-    mean.jobs_killed += r.jobs_killed;
-    mean.od_jobs += r.od_jobs;
-    mean.preemptions += r.preemptions;
-    mean.failures += r.failures;
-    mean.shrinks += r.shrinks;
-    mean.expands += r.expands;
-    mean.decision_avg_us += r.decision_avg_us / n;
-    mean.decision_max_us = std::max(mean.decision_max_us, r.decision_max_us);
-    mean.decisions += r.decisions;
-    mean.makespan = std::max(mean.makespan, r.makespan);
+    for (const ResultField& field : kResultFields) {
+      std::visit(
+          [&](auto member) {
+            auto& acc = mean.*member;
+            switch (field.reduce) {
+              case FieldReduce::kMean: acc += r.*member / n; break;
+              case FieldReduce::kSum: acc += r.*member; break;
+              case FieldReduce::kMax: acc = std::max(acc, r.*member); break;
+            }
+          },
+          field.member);
+    }
   }
   return mean;
 }

@@ -64,17 +64,6 @@ class CsvResultSink final : public ResultSink {
   bool header_written_ = false;
 };
 
-/// Writes one JSON object per line per completed cell (JSONL).
-class JsonlResultSink final : public ResultSink {
- public:
-  /// `out` must outlive the sink.
-  explicit JsonlResultSink(std::ostream& out) : out_(out) {}
-  void OnResult(std::size_t spec_index, const SpecResult& row) override;
-
- private:
-  std::ostream& out_;
-};
-
 /// Forwards every row to each inner sink in order — e.g. a CSV file plus a
 /// streaming QuantileResultSink behind one MergingResultSink.
 class TeeResultSink final : public ResultSink {

@@ -14,21 +14,26 @@
 // exp/transport.h). hs_agent rebuilds it from the `unit` frame's cell lines
 // unchanged, so the worker's ReadShardFile is their one parser.
 //
-// Worker result rows — what each worker sends back. One JSON object per
-// completed cell, which hs_worker writes to stdout as a `row` frame of the
-// `# hs-fabric` stream (exp/transport.h), flushed as the cell finishes and
-// followed by a `# hs-progress` heartbeat:
+// Worker result rows — what each worker sends back. One `row` frame of the
+// `# hs-fabric` stream (exp/transport.h) per completed cell, on the one
+// key=value grammar of util/parse.h: the global spec index first, then
+// the spec, the trace name and every SimResult field under its CSV name
+// (kResultFields, metrics/collector.h), closed by the bare key `end`.
+// hs_worker flushes it as the cell finishes, followed by a `# hs-progress`
+// heartbeat:
 //
-//   row {"index":7,"spec":"...","trace":"...","result":{"avg_turnaround_h":...}}
+//   row index=7 spec=CUP&SPAA/FCFS/W5/seed=800 trace=... avg_turnaround_h=... end
 //   # hs-progress cell=7
 //
-// Doubles are printed with max_digits10 (17 significant digits), which
-// makes text round-trips bit-exact: the orchestrator re-parses rows and
-// re-formats them through the normal CSV sink, producing output
-// byte-identical to a single-process run on every simulation-content
-// column. Parsing is strict — unknown or missing result fields, malformed
-// lines, and bad indices all throw, so a version skew between orchestrator
-// and worker fails loudly instead of merging garbage.
+// Values are percent-encoded (space, newline and '%'), so only a complete
+// line ends in ` end` and a torn row never parses. Doubles are printed at
+// 17 significant digits, which makes text round-trips bit-exact: the
+// orchestrator re-parses rows and re-formats them through the normal CSV
+// sink, producing output byte-identical to a single-process run on every
+// simulation-content column. Parsing is strict — unknown, repeated or
+// missing keys, bad numbers and a missing `end` all throw, so a version
+// skew between orchestrator and worker fails loudly instead of merging
+// garbage.
 #pragma once
 
 #include <cstddef>
@@ -69,11 +74,12 @@ void WriteShardFile(std::ostream& out, const std::vector<std::size_t>& indices,
 /// invalid spec string, or duplicate index.
 std::vector<IndexedSpec> ReadShardFile(std::istream& in);
 
-/// Writes one worker result row (newline-terminated JSON object).
+/// Writes one newline-terminated `row ... end` frame.
 void WriteWorkerRow(std::ostream& out, std::size_t index, const SpecResult& row);
 
-/// Parses one worker row; throws std::runtime_error on malformed JSON,
-/// unknown/missing result fields, or an invalid spec string.
+/// Parses one `row ... end` frame line (without its newline); throws
+/// std::invalid_argument naming the offending token on a missing `end`,
+/// an unknown, repeated or missing key, a bad number or an invalid spec.
 IndexedSpecResult ParseWorkerRow(const std::string& line);
 
 }  // namespace hs

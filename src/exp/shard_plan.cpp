@@ -6,25 +6,9 @@
 
 namespace hs {
 
-const char* ShardStrategyName(ShardStrategy strategy) {
-  switch (strategy) {
-    case ShardStrategy::kRoundRobin: return "round-robin";
-    case ShardStrategy::kCostWeighted: return "cost-weighted";
-  }
-  return "?";
-}
-
-ShardStrategy ParseShardStrategy(const std::string& name) {
-  if (name == "round-robin") return ShardStrategy::kRoundRobin;
-  if (name == "cost-weighted") return ShardStrategy::kCostWeighted;
-  throw std::invalid_argument("unknown shard strategy '" + name +
-                              "' (known: round-robin, cost-weighted)");
-}
-
 double SpecCost(const SimSpec& spec) { return static_cast<double>(spec.weeks); }
 
-ShardPlan MakeShardPlan(const std::vector<SimSpec>& specs, std::size_t shard_count,
-                        ShardStrategy strategy) {
+ShardPlan MakeShardPlan(const std::vector<SimSpec>& specs, std::size_t shard_count) {
   if (shard_count == 0) {
     throw std::invalid_argument("MakeShardPlan: shard_count must be >= 1");
   }
@@ -34,32 +18,21 @@ ShardPlan MakeShardPlan(const std::vector<SimSpec>& specs, std::size_t shard_cou
   plan.shards.assign(shards, {});
   if (shards == 0) return plan;
 
-  switch (strategy) {
-    case ShardStrategy::kRoundRobin:
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        plan.shards[i % shards].push_back(i);
-      }
-      break;
-    case ShardStrategy::kCostWeighted: {
-      // LPT greedy, fully deterministic: costs tie-break by spec index,
-      // loads tie-break by shard index.
-      std::vector<std::size_t> order(specs.size());
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return SpecCost(specs[a]) > SpecCost(specs[b]);
-                       });
-      std::vector<double> load(shards, 0.0);
-      for (const std::size_t index : order) {
-        const std::size_t target = static_cast<std::size_t>(
-            std::min_element(load.begin(), load.end()) - load.begin());
-        plan.shards[target].push_back(index);
-        load[target] += SpecCost(specs[index]);
-      }
-      for (auto& shard : plan.shards) std::sort(shard.begin(), shard.end());
-      break;
-    }
+  // LPT greedy, fully deterministic: costs tie-break by spec index, loads
+  // tie-break by shard index.
+  std::vector<std::size_t> order(specs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return SpecCost(specs[a]) > SpecCost(specs[b]);
+  });
+  std::vector<double> load(shards, 0.0);
+  for (const std::size_t index : order) {
+    const std::size_t target = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    plan.shards[target].push_back(index);
+    load[target] += SpecCost(specs[index]);
   }
+  for (auto& shard : plan.shards) std::sort(shard.begin(), shard.end());
   return plan;
 }
 

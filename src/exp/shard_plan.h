@@ -1,37 +1,20 @@
 // ShardPlan: a deterministic partition of a SimSpec vector into K shards
 // for multi-process execution (ShardedRunner / hs_worker).
 //
-// Both strategies depend only on (specs, shard_count), never on timing or
-// iteration order, so the same grid always scatters the same way — a
-// prerequisite for the merge-determinism contract (README "Scaling out"):
-//
-//   round-robin    spec i goes to shard i % K. Trivial, and optimal when
-//                  cells are uniform (the common seeds-sweep case).
-//   cost-weighted  longest-processing-time greedy: specs sorted by
-//                  descending SpecCost() are placed on the least-loaded
-//                  shard, balancing mixed-horizon grids (weeks=1 cells next
-//                  to weeks=52 cells) far better than round-robin.
+// The plan is longest-processing-time greedy: specs sorted by descending
+// SpecCost() are placed on the least-loaded shard, which balances
+// mixed-horizon grids (weeks=1 cells next to weeks=52 cells). It depends
+// only on (specs, shard_count), never on timing or iteration order, so the
+// same grid always scatters the same way — a prerequisite for the
+// merge-determinism contract (README "Scaling out").
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "exp/sim_spec.h"
 
 namespace hs {
-
-enum class ShardStrategy {
-  kRoundRobin,
-  kCostWeighted,
-};
-
-/// "round-robin" / "cost-weighted".
-const char* ShardStrategyName(ShardStrategy strategy);
-
-/// Parses a strategy name (case-sensitive); throws std::invalid_argument
-/// listing the known names.
-ShardStrategy ParseShardStrategy(const std::string& name);
 
 /// A partition of spec indices [0, spec_count) into disjoint shards. Every
 /// index appears in exactly one shard; within a shard, indices ascend.
@@ -42,7 +25,7 @@ struct ShardPlan {
   std::size_t shard_count() const { return shards.size(); }
 };
 
-/// Relative execution-cost proxy of one cell, used by kCostWeighted. The
+/// Relative execution-cost proxy of one cell, used by the plan. The
 /// trace horizon dominates both trace size and event count, so the proxy is
 /// simply the spec's weeks.
 double SpecCost(const SimSpec& spec);
@@ -50,7 +33,6 @@ double SpecCost(const SimSpec& spec);
 /// Partitions `specs` into at most `shard_count` shards (empty shards are
 /// never emitted: the effective count is min(shard_count, specs.size())).
 /// Throws std::invalid_argument when shard_count == 0.
-ShardPlan MakeShardPlan(const std::vector<SimSpec>& specs, std::size_t shard_count,
-                        ShardStrategy strategy);
+ShardPlan MakeShardPlan(const std::vector<SimSpec>& specs, std::size_t shard_count);
 
 }  // namespace hs

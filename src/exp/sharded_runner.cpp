@@ -110,7 +110,7 @@ std::vector<SpecResult> ShardedRunner::Run(const std::vector<SimSpec>& specs,
   if (options_.retry.max_attempts < 1) {
     throw std::invalid_argument("ShardedRunner: retry.max_attempts must be >= 1");
   }
-  last_plan_ = MakeShardPlan(specs, options_.shards, options_.strategy);
+  last_plan_ = MakeShardPlan(specs, options_.shards);
   last_report_ = FabricReport{};
   last_report_.shard_count = last_plan_.shard_count();
   last_report_.launches_per_shard.assign(last_plan_.shard_count(), 0);

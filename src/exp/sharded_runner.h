@@ -112,7 +112,6 @@ struct ShardedRunnerOptions {
   /// Worker processes to scatter across (clamped to the spec count); also
   /// the cap on concurrently running workers while retrying.
   std::size_t shards = 2;
-  ShardStrategy strategy = ShardStrategy::kCostWeighted;
   /// Path of the worker binary; empty uses DefaultWorkerCommand() (the
   /// hs_worker next to the current executable).
   std::string worker_cmd;

@@ -103,9 +103,7 @@ bool FrameReader::Drain() {
     if (status == RecvLineStatus::kTimeout) return false;
     if (status == RecvLineStatus::kEof) break;
     activity_ += line.size() + 1;
-    if (StartsWith(line, "row ")) {
-      rows_.push_back(line.substr(4));
-    } else if (StartsWith(line, "log ")) {
+    if (StartsWith(line, "log ")) {
       log_ += line.substr(4) + '\n';
       constexpr std::size_t kMaxLog = 64 * 1024;
       if (log_.size() > kMaxLog) log_.erase(0, log_.size() - kMaxLog);
@@ -113,8 +111,8 @@ bool FrameReader::Drain() {
       terminal_ = line;
       break;
     } else if (!line.empty() && !StartsWith(line, "# hs-progress")) {
-      // Not a known frame: a row cut short before its "row " prefix.
-      // TakeRows applies the torn-vs-skew rule to it like any row.
+      // A `row` frame, or a row cut short before its "row " prefix:
+      // TakeRows applies the torn-vs-skew rule to each.
       rows_.push_back(line);
     }
   }

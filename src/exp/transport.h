@@ -12,7 +12,7 @@
 //                       on its stdin and its stdout on a pipe; its end is
 //                       learned by waitpid.
 //   TcpTransport        one slot per remote hs_agent daemon; units travel
-//                       over the `# hs-fabric v1` line protocol and end
+//                       over the `# hs-fabric v2` line protocol and end
 //                       with a `done`/`err` frame. A dead connection is a
 //                       dead worker: the runner re-queues the unit.
 //
@@ -20,14 +20,14 @@
 // no file on either host) and read one frame stream through one
 // FrameReader: hs_worker writes `row` frames and `# hs-progress`
 // heartbeats to stdout, and hs_agent relays that output verbatim, adding
-// only its own `log`/`done`/`err` frames. `# hs-fabric v1`
+// only its own `log`/`done`/`err` frames. `# hs-fabric v2`
 // (newline-delimited text, one connection per unit):
 //
-//   agent:        # hs-fabric v1                      greeting on accept
+//   agent:        # hs-fabric v2                      greeting on accept
 //   orchestrator: unit origin=K attempt=N cells=M [threads=T]
 //                 <global index>\t<canonical spec>    x M (shard cell lines)
 //                 end
-//   worker:       row <JSON worker row>               per completed cell
+//   worker:       row index=I ... end                 per completed cell
 //                 # hs-progress ...                   heartbeats
 //   agent:        log <worker stderr line>            diagnostics
 //                 done exit=C | done signal=S         terminal status
@@ -169,7 +169,7 @@ struct HostEndpoint {
 std::vector<HostEndpoint> ParseHostList(const std::string& hosts);
 
 /// The `unit` frame's header line, the one piece of the orchestrator's side
-/// of `# hs-fabric v1` that is not a shard cell line.
+/// of `# hs-fabric v2` that is not a shard cell line.
 struct UnitHeader {
   int origin = 0;   // the unit's original shard
   int attempt = 1;  // 1-based try number (gates HS_FAULT)
@@ -249,6 +249,6 @@ class TcpTransport final : public Transport {
 };
 
 /// The protocol greeting/version line both sides must agree on.
-inline constexpr const char* kFabricGreeting = "# hs-fabric v1";
+inline constexpr const char* kFabricGreeting = "# hs-fabric v2";
 
 }  // namespace hs

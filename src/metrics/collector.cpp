@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/parse.h"
+
 namespace hs {
 
 void Collector::OnSubmit(const JobRecord& job, SimTime now) {
@@ -160,6 +162,18 @@ SimResult Collector::Finalize(int num_nodes, double busy_node_seconds) const {
   r.decision_max_us = decision_us_.max();
   r.decisions = decision_us_.count();
   return r;
+}
+
+std::string FormatResultExact(const SimResult& r, bool include_wallclock) {
+  std::string text;
+  for (const ResultField& field : kResultFields) {
+    if (field.wallclock && !include_wallclock) continue;
+    if (!text.empty()) text += ' ';
+    text += field.name;
+    text += '=';
+    text += FieldText(r, field, FmtExactDouble);
+  }
+  return text;
 }
 
 }  // namespace hs

@@ -11,7 +11,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <variant>
 
 #include "util/stats.h"
 #include "util/time.h"
@@ -77,6 +80,86 @@ struct SimResult {
 
   SimTime makespan = 0;  // first submit .. last completion
 };
+
+/// How MeanResult folds one field over per-seed results.
+enum class FieldReduce : std::uint8_t {
+  kMean,  // mean += x / n, in seed order
+  kSum,   // counters accumulate
+  kMax,   // maxima take the max
+};
+
+/// One SimResult member. kResultFields lists every member once, in CSV
+/// column order; the CSV sink, MeanResult, the fabric's row frames and the
+/// test oracles all loop over it, so a new metric is one member plus one
+/// table row.
+struct ResultField {
+  using Member = std::variant<double SimResult::*, std::size_t SimResult::*,
+                              SimTime SimResult::*>;
+  const char* name;  // CSV column and row-frame key
+  Member member;
+  FieldReduce reduce;
+  bool wallclock;  // differs between two runs of one binary
+};
+
+inline constexpr ResultField kResultFields[] = {
+    {"avg_turnaround_h", &SimResult::avg_turnaround_h, FieldReduce::kMean, false},
+    {"rigid_turnaround_h", &SimResult::rigid_turnaround_h, FieldReduce::kMean, false},
+    {"malleable_turnaround_h", &SimResult::malleable_turnaround_h, FieldReduce::kMean,
+     false},
+    {"od_turnaround_h", &SimResult::od_turnaround_h, FieldReduce::kMean, false},
+    {"avg_wait_h", &SimResult::avg_wait_h, FieldReduce::kMean, false},
+    {"od_instant_rate", &SimResult::od_instant_rate, FieldReduce::kMean, false},
+    {"od_instant_rate_strict", &SimResult::od_instant_rate_strict, FieldReduce::kMean,
+     false},
+    {"od_avg_delay_s", &SimResult::od_avg_delay_s, FieldReduce::kMean, false},
+    {"rigid_preempt_ratio", &SimResult::rigid_preempt_ratio, FieldReduce::kMean, false},
+    {"malleable_preempt_ratio", &SimResult::malleable_preempt_ratio, FieldReduce::kMean,
+     false},
+    {"malleable_shrink_ratio", &SimResult::malleable_shrink_ratio, FieldReduce::kMean,
+     false},
+    {"utilization", &SimResult::utilization, FieldReduce::kMean, false},
+    {"useful_utilization", &SimResult::useful_utilization, FieldReduce::kMean, false},
+    {"allocated_utilization", &SimResult::allocated_utilization, FieldReduce::kMean,
+     false},
+    {"window_utilization", &SimResult::window_utilization, FieldReduce::kMean, false},
+    {"lost_node_hours", &SimResult::lost_node_hours, FieldReduce::kMean, false},
+    {"setup_node_hours", &SimResult::setup_node_hours, FieldReduce::kMean, false},
+    {"checkpoint_node_hours", &SimResult::checkpoint_node_hours, FieldReduce::kMean,
+     false},
+    {"jobs_completed", &SimResult::jobs_completed, FieldReduce::kSum, false},
+    {"jobs_killed", &SimResult::jobs_killed, FieldReduce::kSum, false},
+    {"od_jobs", &SimResult::od_jobs, FieldReduce::kSum, false},
+    {"preemptions", &SimResult::preemptions, FieldReduce::kSum, false},
+    {"failures", &SimResult::failures, FieldReduce::kSum, false},
+    {"shrinks", &SimResult::shrinks, FieldReduce::kSum, false},
+    {"expands", &SimResult::expands, FieldReduce::kSum, false},
+    {"decision_avg_us", &SimResult::decision_avg_us, FieldReduce::kMean, true},
+    {"decision_max_us", &SimResult::decision_max_us, FieldReduce::kMax, true},
+    {"decisions", &SimResult::decisions, FieldReduce::kSum, false},
+    {"makespan_s", &SimResult::makespan, FieldReduce::kMax, false},
+};
+
+/// `field` of `r` as text: doubles through `fmt_double`, counters and
+/// makespan in decimal.
+template <class FmtDouble>
+std::string FieldText(const SimResult& r, const ResultField& field, FmtDouble fmt_double) {
+  return std::visit(
+      [&](auto member) -> std::string {
+        if constexpr (std::is_same_v<decltype(r.*member), const double&>) {
+          return fmt_double(r.*member);
+        } else {
+          return std::to_string(r.*member);
+        }
+      },
+      field.member);
+}
+
+/// Every field of `r` as space-separated `name=value` tokens in table
+/// order: doubles at 17 significant digits (bit-exact through ParseDouble),
+/// counters and makespan as integers. Wall-clock fields only when
+/// `include_wallclock`. The fabric's row frames carry this text, and tests
+/// compare results through it.
+std::string FormatResultExact(const SimResult& r, bool include_wallclock);
 
 class Collector {
  public:

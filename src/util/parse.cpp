@@ -46,22 +46,6 @@ std::string FmtExactDouble(double value) {
   return buf;
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 std::string PercentEncode(std::string_view value, std::string_view special) {
   static constexpr char kHex[] = "0123456789ABCDEF";
   std::string out;

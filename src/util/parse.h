@@ -1,9 +1,9 @@
 // The one text grammar of CLI flags, `# hs-session` requests, spec strings,
-// HS_FAULT plans and the `# hs-fabric` unit header: strict whole-string
-// value parsers, one percent codec, one tokenizer and one checked-getter
-// bag (KeyValues) whose errors name the token as the caller wrote it
-// (`--port=abc`, `size=+7`, `origin=banana`). Malformed input throws
-// std::invalid_argument; nothing is parsed leniently.
+// HS_FAULT plans and the `# hs-fabric` unit header and row frames: strict
+// whole-string value parsers, one percent codec, one tokenizer and one
+// checked-getter bag (KeyValues) whose errors name the token as the caller
+// wrote it (`--port=abc`, `size=+7`, `origin=banana`). Malformed input
+// throws std::invalid_argument; nothing is parsed leniently.
 #pragma once
 
 #include <charconv>
@@ -38,9 +38,6 @@ std::optional<bool> ParseBool(std::string_view text);
 
 /// %.17g: every finite double round-trips through ParseDouble bit-exactly.
 std::string FmtExactDouble(double value);
-
-/// `text` with '"', '\\' and newline backslash-escaped for a JSON string.
-std::string JsonEscape(std::string_view text);
 
 /// `value` with '%' and every byte of `special` written as %XX (upper-case
 /// hex). The identity on values holding none of them.

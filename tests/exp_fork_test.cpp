@@ -6,7 +6,6 @@
 // and advancing one side must never perturb the other.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -24,21 +23,7 @@ constexpr SimTime kMidpoint = 3 * kDay + kHour / 2;  // mid-week, off any round 
 /// (doubles at 17 significant digits); wall-clock fields excluded, like the
 /// golden fixture.
 std::string ResultRow(const SimResult& r) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,"
-      "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%zu,%zu,%zu,%zu,%zu,%zu,%zu,"
-      "%zu,%lld",
-      r.avg_turnaround_h, r.rigid_turnaround_h, r.malleable_turnaround_h,
-      r.od_turnaround_h, r.avg_wait_h, r.od_instant_rate,
-      r.od_instant_rate_strict, r.od_avg_delay_s, r.rigid_preempt_ratio,
-      r.malleable_preempt_ratio, r.malleable_shrink_ratio, r.utilization,
-      r.useful_utilization, r.allocated_utilization, r.window_utilization,
-      r.lost_node_hours, r.setup_node_hours, r.checkpoint_node_hours,
-      r.jobs_completed, r.jobs_killed, r.od_jobs, r.preemptions, r.failures,
-      r.shrinks, r.expands, r.decisions, static_cast<long long>(r.makespan));
-  return buf;
+  return FormatResultExact(r, /*include_wallclock=*/false);
 }
 
 SimSpec MidsizeSpec(const std::string& mechanism, std::uint64_t seed) {

@@ -1,9 +1,8 @@
-// Property tests for ShardPlan over random cost vectors: both strategies
-// must be deterministic, cover every index exactly once with ascending
-// in-shard order, and never emit an empty shard; the LPT (cost-weighted)
-// strategy must additionally stay within the classic 2x factor of the
-// makespan lower bound max(total/K, max_cost) — the guarantee that makes
-// it safe to prefer over round-robin on mixed-horizon grids.
+// Property tests for ShardPlan over random cost vectors: the LPT plan must
+// be deterministic, cover every index exactly once with ascending in-shard
+// order, never emit an empty shard, and stay within the classic 2x factor
+// of the makespan lower bound max(total/K, max_cost) — the guarantee that
+// makes it safe on mixed-horizon grids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,14 +60,9 @@ TEST(ShardPlanPropertyTest, RandomGridsSatisfyPartitionInvariants) {
     const std::size_t n = static_cast<std::size_t>(rng.UniformInt(1, 40));
     const std::size_t k = static_cast<std::size_t>(rng.UniformInt(1, 10));
     const std::vector<SimSpec> specs = RandomCostGrid(rng, n);
-    for (const ShardStrategy strategy :
-         {ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted}) {
-      SCOPED_TRACE("trial " + std::to_string(trial) + ", n=" + std::to_string(n) +
-                   ", k=" + std::to_string(k) + ", " +
-                   ShardStrategyName(strategy));
-      const ShardPlan plan = MakeShardPlan(specs, k, strategy);
-      CheckPartitionInvariants(plan, specs, k);
-    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", n=" + std::to_string(n) +
+                 ", k=" + std::to_string(k));
+    CheckPartitionInvariants(MakeShardPlan(specs, k), specs, k);
   }
 }
 
@@ -78,14 +72,8 @@ TEST(ShardPlanPropertyTest, PlansAreDeterministic) {
     const std::size_t n = static_cast<std::size_t>(rng.UniformInt(1, 40));
     const std::size_t k = static_cast<std::size_t>(rng.UniformInt(1, 10));
     const std::vector<SimSpec> specs = RandomCostGrid(rng, n);
-    for (const ShardStrategy strategy :
-         {ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted}) {
-      const ShardPlan first = MakeShardPlan(specs, k, strategy);
-      const ShardPlan second = MakeShardPlan(specs, k, strategy);
-      EXPECT_EQ(first.shards, second.shards)
-          << "trial " << trial << ": identical inputs must scatter "
-          << "identically (" << ShardStrategyName(strategy) << ")";
-    }
+    EXPECT_EQ(MakeShardPlan(specs, k).shards, MakeShardPlan(specs, k).shards)
+        << "trial " << trial << ": identical inputs must scatter identically";
   }
 }
 
@@ -98,7 +86,7 @@ TEST(ShardPlanPropertyTest, LptMakespanWithinTwiceTheLowerBound) {
     const std::size_t n = static_cast<std::size_t>(rng.UniformInt(1, 40));
     const std::size_t k = static_cast<std::size_t>(rng.UniformInt(1, 10));
     const std::vector<SimSpec> specs = RandomCostGrid(rng, n);
-    const ShardPlan plan = MakeShardPlan(specs, k, ShardStrategy::kCostWeighted);
+    const ShardPlan plan = MakeShardPlan(specs, k);
 
     double total = 0.0;
     double max_cost = 0.0;

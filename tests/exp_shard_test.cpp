@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -87,40 +88,26 @@ SpecResult FakeRow(const std::string& spec_text) {
 
 // --- ShardPlan --------------------------------------------------------------
 
-TEST(ShardPlanTest, RoundRobinPartitions) {
-  std::vector<SimSpec> specs(7);
-  const ShardPlan plan = MakeShardPlan(specs, 3, ShardStrategy::kRoundRobin);
-  ASSERT_EQ(plan.shard_count(), 3u);
-  EXPECT_EQ(plan.shards[0], (std::vector<std::size_t>{0, 3, 6}));
-  EXPECT_EQ(plan.shards[1], (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(plan.shards[2], (std::vector<std::size_t>{2, 5}));
-}
-
 TEST(ShardPlanTest, EveryIndexExactlyOnce) {
   std::vector<SimSpec> specs(23);
   for (std::size_t i = 0; i < specs.size(); ++i) specs[i].weeks = 1 + (i * 7) % 13;
-  for (const ShardStrategy strategy :
-       {ShardStrategy::kRoundRobin, ShardStrategy::kCostWeighted}) {
-    const ShardPlan plan = MakeShardPlan(specs, 5, strategy);
-    ASSERT_EQ(plan.spec_count, specs.size());
-    std::vector<int> hits(plan.spec_count, 0);
-    for (const auto& shard : plan.shards) {
-      EXPECT_TRUE(std::is_sorted(shard.begin(), shard.end()));
-      for (const std::size_t index : shard) ++hits[index];
-    }
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i], 1) << ShardStrategyName(strategy) << " index " << i;
-    }
+  const ShardPlan plan = MakeShardPlan(specs, 5);
+  ASSERT_EQ(plan.spec_count, specs.size());
+  std::vector<int> hits(plan.spec_count, 0);
+  for (const auto& shard : plan.shards) {
+    EXPECT_TRUE(std::is_sorted(shard.begin(), shard.end()));
+    for (const std::size_t index : shard) ++hits[index];
   }
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << "index " << i;
 }
 
 TEST(ShardPlanTest, CostWeightedBalancesMixedHorizons) {
   // 4 heavy cells (52 weeks) + 8 light ones (1 week) on 4 shards: LPT puts
-  // one heavy cell per shard; round-robin would stack heavies on shard 0.
+  // one heavy cell per shard; an i % K split would stack heavies on shard 0.
   std::vector<SimSpec> specs(12);
   for (std::size_t i = 0; i < 4; ++i) specs[i].weeks = 52;
   for (std::size_t i = 4; i < 12; ++i) specs[i].weeks = 1;
-  const ShardPlan plan = MakeShardPlan(specs, 4, ShardStrategy::kCostWeighted);
+  const ShardPlan plan = MakeShardPlan(specs, 4);
   for (const auto& shard : plan.shards) {
     double load = 0.0;
     for (const std::size_t index : shard) load += SpecCost(specs[index]);
@@ -130,13 +117,12 @@ TEST(ShardPlanTest, CostWeightedBalancesMixedHorizons) {
 
 TEST(ShardPlanTest, DeterministicAndClamped) {
   std::vector<SimSpec> specs(3);
-  const ShardPlan a = MakeShardPlan(specs, 8, ShardStrategy::kCostWeighted);
-  const ShardPlan b = MakeShardPlan(specs, 8, ShardStrategy::kCostWeighted);
+  const ShardPlan a = MakeShardPlan(specs, 8);
+  const ShardPlan b = MakeShardPlan(specs, 8);
   EXPECT_EQ(a.shards, b.shards);
   EXPECT_EQ(a.shard_count(), 3u);  // never more shards than specs
-  EXPECT_THROW(MakeShardPlan(specs, 0, ShardStrategy::kRoundRobin),
-               std::invalid_argument);
-  const ShardPlan empty = MakeShardPlan({}, 4, ShardStrategy::kRoundRobin);
+  EXPECT_THROW(MakeShardPlan(specs, 0), std::invalid_argument);
+  const ShardPlan empty = MakeShardPlan({}, 4);
   EXPECT_EQ(empty.shard_count(), 0u);
   EXPECT_EQ(empty.spec_count, 0u);
 }
@@ -187,17 +173,31 @@ TEST(ShardIoTest, ShardFileRejectsMalformedInput) {
 
 // --- worker rows ------------------------------------------------------------
 
+/// WriteWorkerRow's frame as FrameReader delivers it: one line, no newline.
+std::string RowLine(std::size_t index, const SpecResult& row) {
+  std::ostringstream out;
+  WriteWorkerRow(out, index, row);
+  std::string line = out.str();
+  EXPECT_EQ(line.back(), '\n');
+  line.pop_back();
+  return line;
+}
+
 TEST(ShardIoTest, WorkerRowRoundTripIsExact) {
   SpecResult row = FakeRow("CUP&SPAA/FCFS/W5/seed=7");
+  row.trace_name = "theta week 3 (50% od)";  // space and '%' are escaped
   row.result.avg_turnaround_h = 1.0 / 3.0;
   row.result.utilization = 0.1;  // not exactly representable
   row.result.od_avg_delay_s = 1e-300;
   row.result.lost_node_hours = 123456789.987654321;
   row.result.jobs_completed = 987654321;
   row.result.makespan = 31536000;
-  std::ostringstream out;
-  WriteWorkerRow(out, 42, row);
-  const IndexedSpecResult parsed = ParseWorkerRow(out.str());
+  const std::string line = RowLine(42, row);
+  EXPECT_EQ(line.rfind("row index=42 spec=", 0), 0u) << line;
+  EXPECT_NE(line.find(" trace=theta%20week%203%20(50%25%20od) "), std::string::npos)
+      << line;
+  EXPECT_NE(line.find(" makespan_s=31536000 end"), std::string::npos) << line;
+  const IndexedSpecResult parsed = ParseWorkerRow(line);
   EXPECT_EQ(parsed.index, 42u);
   EXPECT_EQ(parsed.row.spec, row.spec);
   EXPECT_EQ(parsed.row.trace_name, row.trace_name);
@@ -208,30 +208,63 @@ TEST(ShardIoTest, WorkerRowRoundTripIsExact) {
   EXPECT_EQ(parsed.row.result.lost_node_hours, row.result.lost_node_hours);
   EXPECT_EQ(parsed.row.result.jobs_completed, row.result.jobs_completed);
   EXPECT_EQ(parsed.row.result.makespan, row.result.makespan);
-  std::ostringstream again;
-  WriteWorkerRow(again, 42, parsed.row);
-  EXPECT_EQ(again.str(), out.str());
+  EXPECT_EQ(RowLine(42, parsed.row), line);
+}
+
+TEST(ShardIoTest, WorkerRowCarriesEverySimResultMember) {
+  // Every byte of the result is 0x5A (a finite double, a counter below
+  // INT64_MAX); a member missing from kResultFields comes back as its
+  // default and the memcmp fails.
+  SpecResult row = FakeRow("baseline/FCFS/W5");
+  std::memset(static_cast<void*>(&row.result), 0x5A, sizeof(row.result));
+  const IndexedSpecResult parsed = ParseWorkerRow(RowLine(3, row));
+  EXPECT_EQ(std::memcmp(&parsed.row.result, &row.result, sizeof(row.result)), 0);
+}
+
+TEST(ShardIoTest, EveryProperPrefixOfARowThrows) {
+  // A torn write (killed mid-row) must never parse as a shorter, wrong row:
+  // `makespan_s=3153` cut from `makespan_s=31536000` included.
+  SpecResult row = FakeRow("CUA&SPAA/FCFS/W5/seed=9");
+  row.trace_name = "a b%c";
+  row.result.makespan = 31536000;
+  const std::string line = RowLine(7, row);
+  ASSERT_NO_THROW(ParseWorkerRow(line));
+  for (std::size_t n = 0; n < line.size(); ++n) {
+    EXPECT_THROW(ParseWorkerRow(line.substr(0, n)), std::invalid_argument)
+        << "prefix of " << n << " bytes parsed: '" << line.substr(0, n) << "'";
+  }
 }
 
 TEST(ShardIoTest, WorkerRowRejectsSchemaSkew) {
-  SpecResult row = FakeRow("baseline/FCFS/W5");
-  std::ostringstream out;
-  WriteWorkerRow(out, 0, row);
-  std::string line = out.str();
+  const std::string line = RowLine(0, FakeRow("baseline/FCFS/W5"));
   EXPECT_NO_THROW(ParseWorkerRow(line));
+  const auto expect_rejected = [](const std::string& bad, const std::string& named) {
+    try {
+      ParseWorkerRow(bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+    }
+  };
+  const std::size_t end = line.rfind(" end");
   // An extra (unknown) result field — e.g. from a newer worker — throws.
-  std::string extra = line;
-  extra.replace(extra.find("\"result\":{"), 10, "\"result\":{\"new_metric\":1,");
-  EXPECT_THROW(ParseWorkerRow(extra), std::runtime_error);
+  expect_rejected(line.substr(0, end) + " new_metric=1 end", "new_metric=1");
   // A missing result field throws too.
   std::string missing = line;
-  const std::size_t at = missing.find("\"utilization\":");
-  const std::size_t comma = missing.find(',', at);
-  missing.erase(at, comma - at + 1);
-  EXPECT_THROW(ParseWorkerRow(missing), std::runtime_error);
-  // Truncation (a worker killed mid-write) throws.
-  EXPECT_THROW(ParseWorkerRow(line.substr(0, line.size() / 2)), std::runtime_error);
-  EXPECT_THROW(ParseWorkerRow("not json"), std::runtime_error);
+  const std::size_t at = missing.find(" utilization=");
+  missing.erase(at, missing.find(' ', at + 1) - at);
+  expect_rejected(missing, "utilization");
+  // So do a repeated key, a bad number and a bad spec.
+  expect_rejected(line.substr(0, end) + " od_jobs=1 end", "od_jobs=1");
+  std::string bad_count = line;
+  bad_count.replace(bad_count.find(" od_jobs=0"), 10, " od_jobs=-1");
+  expect_rejected(bad_count, "od_jobs=-1");
+  std::string bad_spec = line;
+  bad_spec.replace(bad_spec.find(" spec=baseline"), 14, " spec=NOPE");
+  expect_rejected(bad_spec, "spec=NOPE");
+  // Truncation (a worker killed mid-write) and foreign lines throw.
+  expect_rejected(line.substr(0, line.size() / 2), "want 'row");
+  expect_rejected("index=0 end", "want 'row");
 }
 
 // --- the fabric frame reader ------------------------------------------------
@@ -247,10 +280,7 @@ FrameReader ReaderOverPipe(const std::string& bytes) {
 }
 
 std::string RowFrame(std::size_t index, const std::string& spec) {
-  std::ostringstream out;
-  out << "row ";
-  WriteWorkerRow(out, index, FakeRow(spec));
-  return out.str();
+  return RowLine(index, FakeRow(spec)) + "\n";
 }
 
 TEST(FrameReaderTest, ClassifiesTornFinalRowAndVersionSkew) {
@@ -277,7 +307,7 @@ TEST(FrameReaderTest, ClassifiesTornFinalRowAndVersionSkew) {
 
   // A malformed row that is not the last one is version skew: it throws,
   // naming the source.
-  FrameReader skewed = ReaderOverPipe("row not json\n" + row);
+  FrameReader skewed = ReaderOverPipe("row index=0 spec=baseline/FCFS/W5 end\n" + row);
   EXPECT_TRUE(skewed.Drain());
   TransportOutcome skewed_outcome;
   try {
@@ -422,15 +452,6 @@ TEST(ShardedRunnerTest, DifferentialSingleVsSharded) {
       << "3-shard merged CSV differs from the single-process run";
   EXPECT_NE(once.find("decisions"), std::string::npos);
   EXPECT_EQ(once.find("decision_avg_us"), std::string::npos);  // wall-clock stripped
-}
-
-TEST(ShardedRunnerTest, RoundRobinStrategyMatchesToo) {
-  const std::vector<SimSpec> specs = TinyGrid();
-  ShardedRunnerOptions options;
-  options.shards = 2;
-  options.strategy = ShardStrategy::kRoundRobin;
-  options.worker_cmd = WorkerBinary();
-  EXPECT_EQ(InProcessCsv(specs), ShardedCsv(specs, options));
 }
 
 TEST(ShardedRunnerTest, ReturnsRowsInSpecOrderAndStreamsInOrder) {

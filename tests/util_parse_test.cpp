@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/fault_plan.h"
+#include "exp/shard_io.h"
 #include "exp/sim_spec.h"
 #include "exp/transport.h"
 #include "service/protocol.h"
@@ -49,10 +51,6 @@ TEST(ParseTest, PercentCodecEscapesTheCallersSet) {
   EXPECT_THROW(PercentDecode("100%"), std::invalid_argument);
   EXPECT_THROW(PercentDecode("%2"), std::invalid_argument);
   EXPECT_THROW(PercentDecode("%zz"), std::invalid_argument);
-}
-
-TEST(ParseTest, JsonEscapeQuotesBackslashesAndNewlines) {
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
 // --- tokenizer and bag ---------------------------------------------------------
@@ -266,6 +264,30 @@ TEST(ParseMutationTest, UnitHeaders) {
               {"unit origin=3 attempt=2 cells=17 threads=4", "unit origin=0 attempt=1 cells=1",
                "unit cells=0"},
               [](const std::string& line) { (void)ParseUnitHeader(line); });
+}
+
+/// WriteWorkerRow's frame for `spec`, as one line without its newline.
+std::string WorkerRowLine(std::size_t index, const std::string& spec,
+                          const std::string& trace, double turnaround) {
+  SpecResult row{SimSpec::Parse(spec), trace, SimResult{}};
+  row.result.avg_turnaround_h = turnaround;
+  row.result.jobs_completed = 337;
+  row.result.makespan = 31536000;
+  std::ostringstream out;
+  WriteWorkerRow(out, index, row);
+  std::string line = out.str();
+  line.pop_back();
+  return line;
+}
+
+TEST(ParseMutationTest, WorkerRows) {
+  FuzzSurface("ParseWorkerRow",
+              {WorkerRowLine(0, "baseline/FCFS/W5", "paper-w5-seed1", 12.5),
+               WorkerRowLine(17, "CUA&SPAA/SJF/W2/preset=tiny/seed=9", "theta 50% od",
+                             1.0 / 3.0),
+               WorkerRowLine(3, "N&PAA/FCFS/W5/preset=swf/swf=%2Fdata%2Ftheta.swf",
+                             "/data/theta.swf", 1e-300)},
+              [](const std::string& line) { (void)ParseWorkerRow(line); });
 }
 
 TEST(ParseMutationTest, CliFlags) {

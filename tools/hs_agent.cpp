@@ -1,4 +1,4 @@
-// hs_agent: the remote end of the `# hs-fabric v1` TCP transport.
+// hs_agent: the remote end of the `# hs-fabric v2` TCP transport.
 //
 //   hs_agent [--port=N] [--port-file=FILE] [--worker-bin=PATH]
 //            [--threads=N] [--bind-any]
@@ -56,10 +56,10 @@ namespace {
 
 using namespace hs;
 
-/// Global spec index of a `row {"index":N,...` frame, or -1 for any other
+/// Global spec index of a `row index=N ...` frame, or -1 for any other
 /// line (the agent relays it anyway; the orchestrator classifies it).
 long long CellIndexOf(const std::string& line) {
-  constexpr std::string_view kPrefix = "row {\"index\":";
+  constexpr std::string_view kPrefix = "row index=";
   long long value = -1;  // from_chars leaves it untouched on failure
   if (line.rfind(kPrefix, 0) == 0) {
     std::from_chars(line.data() + kPrefix.size(), line.data() + line.size(), value);

@@ -6,7 +6,8 @@
 // the ordinary in-process ExperimentRunner (so trace sharing, validation,
 // and failure semantics are identical to a local run), and writes the
 // `# hs-fabric` frame stream (exp/transport.h) to --out: one
-// `row <JSON row>` frame per completed cell, flushed with the cell, so if
+// `row index=N ... end` frame per completed cell (shard_io.h), flushed
+// with the cell, so if
 // this process dies mid-shard every completed row has already left and
 // the orchestrator reports exactly which spec indices were dropped. The
 // fabric starts it through SpawnWorker with --shard=/dev/stdin and
@@ -76,7 +77,6 @@ class ShardOutputSink final : public hs::ResultSink {
       if (fault_.torn_final_line) {
         // A killed-mid-write tear: the first half of the row, no newline.
         std::ostringstream full;
-        full << "row ";
         hs::WriteWorkerRow(full, static_cast<std::size_t>(global), row);
         const std::string text = full.str();
         out_ << text.substr(0, text.size() / 2);
@@ -90,7 +90,6 @@ class ShardOutputSink final : public hs::ResultSink {
       Heartbeat(out_, "cell", global);  // computed, heartbeat sent — row "lost"
       return;
     }
-    out_ << "row ";
     hs::WriteWorkerRow(out_, static_cast<std::size_t>(global), row);
     Heartbeat(out_, "cell", global);  // its flush sends the row too
   }
